@@ -665,19 +665,17 @@ fn main_chaos(args: &[String]) {
                 };
                 println!(
                     "chaos `{}`: {} admitted / {} quoted / {} errored / {} rejected — \
-                     panics {}, restarts {}, expired {}, shed {}, degraded {}, \
-                     watchdog {}, journal retries {}, bypassed {}{replay}",
+                     panics {}, expired {}, shed {}, degraded {}, \
+                     journal retries {}, bypassed {}{replay}",
                     r.plan,
                     r.admitted,
                     r.quoted,
                     r.errored,
                     r.rejected,
                     r.stats.panics,
-                    r.stats.restarts,
                     r.stats.expired,
                     r.stats.shed,
                     r.stats.degraded_quotes,
-                    r.stats.watchdog_fires,
                     r.stats.journal_retries,
                     r.stats.journal_bypassed,
                 );

@@ -55,9 +55,9 @@ pub struct FabricBenchOptions {
     /// Executor threads *per shard gateway* (parallelism comes from the
     /// shards; 1 keeps each shard at the deterministic baseline shape).
     pub executors: usize,
-    /// Scheduler flush threshold per shard.
+    /// Batch flush threshold per shard.
     pub max_batch: usize,
-    /// Scheduler flush deadline in microseconds.
+    /// Batch flush deadline in microseconds.
     pub max_delay_us: u64,
     /// Admission bound (in-flight requests) per shard.
     pub queue_capacity: usize,

@@ -1,7 +1,7 @@
 //! The gateway load generator behind `experiments gateway-bench`.
 //!
 //! Measures the end-to-end quote throughput and latency of a
-//! [`Gateway`] (micro-batching scheduler + executor pool over a shared
+//! [`Gateway`] (micro-batching executor pool over a shared
 //! frozen [`PricingService`]) under two canonical load shapes:
 //!
 //! * **closed loop** — `N` ingress worker threads each submit one request
@@ -53,9 +53,9 @@ pub struct GatewayBenchOptions {
     pub ingress: usize,
     /// Gateway executor threads (`0` = one per core).
     pub executors: usize,
-    /// Scheduler flush threshold.
+    /// Batch flush threshold.
     pub max_batch: usize,
-    /// Scheduler flush deadline in microseconds.
+    /// Batch flush deadline in microseconds.
     pub max_delay_us: u64,
     /// Admission bound (in-flight requests).
     pub queue_capacity: usize,
@@ -127,9 +127,9 @@ pub struct GatewayBenchResult {
     pub history_length: usize,
     /// Seconds per timed run.
     pub duration_s: f64,
-    /// Scheduler flush threshold.
+    /// Batch flush threshold.
     pub max_batch: usize,
-    /// Scheduler flush deadline (µs).
+    /// Batch flush deadline (µs).
     pub max_delay_us: u64,
     /// Closed-loop throughput of the 1-ingress/1-executor baseline.
     pub baseline_qps: f64,

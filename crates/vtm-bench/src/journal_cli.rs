@@ -42,7 +42,7 @@ pub struct JournalDemoOptions {
     pub requests: usize,
     /// Distinct VMU sessions in the replayed stream.
     pub sessions: usize,
-    /// Scheduler flush threshold.
+    /// Batch flush threshold.
     pub max_batch: usize,
     /// Journal fsync-less flush cadence (appends per `flush`).
     pub flush_every: u64,

@@ -2,9 +2,9 @@
 //!
 //! The throughput assertion is `#[ignore]`d because it is a wall-clock
 //! comparison whose ≥ 1.7x target is defined for multi-core machines (on
-//! one core every shard's scheduler and executors time-slice the same
-//! CPU); CI runs the `--ignored` suite automatically when the runner has
-//! ≥ 4 cores, and it can always be run explicitly with
+//! one core every shard's executors time-slice the same CPU); CI runs the
+//! `--ignored` suite automatically when the runner has ≥ 4 cores, and it
+//! can always be run explicitly with
 //! `cargo test -p vtm-bench --release -- --ignored --nocapture`.
 //! The consistency smoke always runs.
 
@@ -53,7 +53,7 @@ fn fabric_bench_smoke_has_balanced_books() {
 /// Acceptance criterion: with ≥ 4 cores, a 2-shard fabric serves at least
 /// 1.7x the closed-loop quote throughput of a 1-shard fabric over the
 /// same request stream (shards are fully independent pipelines — separate
-/// schedulers, executors and session stores — so capacity scales with
+/// ingress queues, executors and session stores — so capacity scales with
 /// shard count minus routing overhead).
 #[test]
 #[ignore = "wall-clock assertion; needs a multi-core machine, run explicitly in --release"]

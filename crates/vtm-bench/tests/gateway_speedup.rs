@@ -2,8 +2,8 @@
 //!
 //! The throughput assertion is `#[ignore]`d because it is a wall-clock
 //! comparison whose ≥ 2x target is defined for multi-core machines (on one
-//! core the ingress workers, the scheduler and the executors all time-slice
-//! the same CPU); CI runs the `--ignored` suite automatically when the
+//! core the ingress workers and the executors all time-slice the same
+//! CPU); CI runs the `--ignored` suite automatically when the
 //! runner has ≥ 4 cores, and it can always be run explicitly with
 //! `cargo test -p vtm-bench --release -- --ignored --nocapture`.
 //! The consistency smoke always runs.

@@ -4,7 +4,7 @@
 //! # Topology
 //!
 //! A fabric with `S` shards and `A` arms runs `S × A` fully independent
-//! [`Gateway`]s — each with its own scheduler thread, executor pool,
+//! [`Gateway`]s — each with its own ingress queue, executor pool,
 //! session-store-backed [`PricingService`] and (optionally) its own
 //! journal file. A request is routed twice, both times by a pure hash of
 //! its session id:

@@ -1,7 +1,7 @@
 //! # vtm-fabric — sharded gateway fabric with hot-swap A/B policy routing
 //!
 //! One [`Gateway`](vtm_gateway::Gateway) funnels every quote through one
-//! scheduler thread and one frozen policy — a global bottleneck. The
+//! ingress queue and one frozen policy — a global bottleneck. The
 //! fabric removes it: N fully independent gateway shards per policy arm,
 //! with all routing done by pure hashes of the session id, so capacity
 //! grows linearly with shards and no coordination exists on the quote

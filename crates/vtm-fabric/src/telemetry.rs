@@ -89,7 +89,6 @@ impl ArmTelemetry {
             failed: self.failed.load(Ordering::Relaxed),
             promotions: self.promotions.load(Ordering::Relaxed),
             expired: 0,
-            watchdog_fires: 0,
             journal_bypassed: 0,
             revenue: f64::from_bits(self.revenue_bits.load(Ordering::Relaxed)),
             latency_p50_us: latency.p50_us(),
@@ -104,15 +103,14 @@ impl ArmTelemetry {
 
 /// Folds per-gateway fault counters and stage histograms into the arm
 /// snapshots they belong to. The fault counters (`expired`,
-/// `watchdog_fires`, `journal_bypassed`) live in the *gateway* telemetry —
-/// the arm axis would otherwise drop them at rollup. `gateways` is whatever
+/// `journal_bypassed`) live in the *gateway* telemetry — the arm axis
+/// would otherwise drop them at rollup. `gateways` is whatever
 /// set the caller assembled: live slots for [`crate::Fabric::telemetry`],
 /// live plus retired generations at [`crate::Fabric::shutdown`].
 pub(crate) fn fold_gateway_rollups(arms: &mut [ArmSnapshot], gateways: &[ShardTelemetry]) {
     for arm in arms.iter_mut() {
         for gateway in gateways.iter().filter(|g| g.arm == arm.name) {
             arm.expired += gateway.telemetry.expired;
-            arm.watchdog_fires += gateway.telemetry.watchdog_fires;
             arm.journal_bypassed += gateway.telemetry.journal_bypassed;
             if let Some(stages) = &gateway.telemetry.stages {
                 arm.stages
@@ -146,8 +144,6 @@ pub struct ArmSnapshot {
     /// gateways (live generations for a live snapshot; retired generations
     /// folded in at shutdown).
     pub expired: u64,
-    /// Scheduler-watchdog activations, summed over the arm's gateways.
-    pub watchdog_fires: u64,
     /// Admissions that bypassed the journal, summed over the arm's
     /// gateways.
     pub journal_bypassed: u64,
@@ -176,7 +172,7 @@ impl ArmSnapshot {
         format!(
             "{{\"name\": \"{}\", \"percent\": {}, \"quotes\": {}, \"degraded\": {}, \
              \"shed\": {}, \"rejected\": {}, \"failed\": {}, \"promotions\": {}, \
-             \"expired\": {}, \"watchdog_fires\": {}, \"journal_bypassed\": {}, \
+             \"expired\": {}, \"journal_bypassed\": {}, \
              \"revenue\": {:.3}, \
              \"latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"mean\": {:.1}}}, \
              \"stages\": {}}}",
@@ -189,7 +185,6 @@ impl ArmSnapshot {
             self.failed,
             self.promotions,
             self.expired,
-            self.watchdog_fires,
             self.journal_bypassed,
             self.revenue,
             self.latency_p50_us,
@@ -207,7 +202,7 @@ impl ArmSnapshot {
     /// with the arm name.
     pub fn register_metrics(&self, registry: &mut MetricsRegistry) {
         let labels: [(&str, &str); 1] = [("arm", &self.name)];
-        let counters: [(&str, &str, u64); 9] = [
+        let counters: [(&str, &str, u64); 8] = [
             (
                 "vtm_fabric_arm_quotes_total",
                 "Quotes resolved for the arm.",
@@ -242,11 +237,6 @@ impl ArmSnapshot {
                 "vtm_fabric_arm_expired_total",
                 "Requests expired before batch formation.",
                 self.expired,
-            ),
-            (
-                "vtm_fabric_arm_watchdog_fires_total",
-                "Scheduler-watchdog activations.",
-                self.watchdog_fires,
             ),
             (
                 "vtm_fabric_arm_journal_bypassed_total",
@@ -434,7 +424,6 @@ mod tests {
         ];
         let mut shard_a = vtm_gateway::Telemetry::new().snapshot();
         shard_a.expired = 3;
-        shard_a.watchdog_fires = 1;
         shard_a.journal_bypassed = 7;
         let mut stages = StageSnapshot {
             traced: 5,
@@ -469,7 +458,6 @@ mod tests {
         ];
         fold_gateway_rollups(&mut arms, &gateways);
         assert_eq!(arms[0].expired, 5);
-        assert_eq!(arms[0].watchdog_fires, 1);
         assert_eq!(arms[0].journal_bypassed, 8);
         let stages = arms[0].stages.as_ref().expect("arm a was traced");
         assert_eq!(stages.traced, 5);
@@ -478,7 +466,6 @@ mod tests {
         assert!(arms[1].stages.is_none());
         let json = arms[0].to_json();
         assert!(json.contains("\"expired\": 5"), "{json}");
-        assert!(json.contains("\"watchdog_fires\": 1"), "{json}");
         assert!(json.contains("\"journal_bypassed\": 8"), "{json}");
         assert!(json.contains("\"stages\": {"), "{json}");
         assert!(arms[1].to_json().contains("\"stages\": null"));

@@ -1,10 +1,10 @@
 //! Deterministic fault injection for the gateway chaos harness.
 //!
 //! A [`FaultPlan`] is a *seeded, reproducible* description of what should go
-//! wrong during a gateway run: which scheduler iteration panics, which batch
-//! makes its executor panic, which journal append attempts fail with which
-//! [`std::io::ErrorKind`], and how much artificial latency early batches
-//! suffer. The plan is pure data — attaching it to a gateway via
+//! wrong during a gateway run: which batch makes its executor panic, which
+//! journal append attempts fail with which [`std::io::ErrorKind`], and how
+//! much artificial latency early batches suffer. The plan is pure data —
+//! attaching it to a gateway via
 //! [`GatewayConfig::with_faults`](crate::GatewayConfig::with_faults) arms the
 //! runtime [`FaultState`], whose atomic counters decide, deterministically,
 //! when each fault fires.
@@ -19,7 +19,7 @@ use std::time::Duration;
 /// A deterministic plan of faults to inject into a running gateway.
 ///
 /// Indices are zero-based and deterministic given a deterministic workload:
-/// batch indices are assigned by the (single) scheduler in flush order, so
+/// batch indices are assigned in flush order under the ingress lock, so
 /// with `max_batch == 1` and sequential submission, batch `N` is request
 /// `N`; journal indices count append *attempts* (retries included), so an
 /// injected error can be healed by the gateway's bounded retry.
@@ -31,9 +31,6 @@ pub struct FaultPlan {
     /// Batch indices whose executor panics *before* pricing the batch
     /// (no service state is mutated by a panicked batch).
     pub executor_panics: Vec<u64>,
-    /// Scheduler loop iterations that panic before draining the ingress
-    /// queue (iteration 0 panics before any batch is formed).
-    pub scheduler_panics: Vec<u64>,
     /// `(append_attempt, kind)` pairs: the given journal append attempt
     /// fails with an [`io::Error`] of that kind instead of writing a frame.
     pub journal_errors: Vec<(u64, io::ErrorKind)>,
@@ -49,7 +46,6 @@ impl FaultPlan {
         Self {
             seed,
             executor_panics: Vec::new(),
-            scheduler_panics: Vec::new(),
             journal_errors: Vec::new(),
             batch_delay: None,
         }
@@ -76,13 +72,6 @@ impl FaultPlan {
         self
     }
 
-    /// Panics the scheduler at loop iteration `iteration` (before it drains
-    /// anything on that iteration).
-    pub fn with_scheduler_panic(mut self, iteration: u64) -> Self {
-        self.scheduler_panics.push(iteration);
-        self
-    }
-
     /// Fails journal append attempt `attempt` with an error of `kind`.
     pub fn with_journal_error(mut self, attempt: u64, kind: io::ErrorKind) -> Self {
         self.journal_errors.push((attempt, kind));
@@ -98,7 +87,6 @@ impl FaultPlan {
     /// Whether the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
         self.executor_panics.is_empty()
-            && self.scheduler_panics.is_empty()
             && self.journal_errors.is_empty()
             && self.batch_delay.is_none()
     }
@@ -113,13 +101,12 @@ fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The armed runtime of a [`FaultPlan`]: the plan plus the atomic counters
-/// that track how far each injected-fault stream has advanced.
+/// The armed runtime of a [`FaultPlan`]: the plan plus the atomic counter
+/// that tracks how far the journal-append fault stream has advanced.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
     journal_attempts: AtomicU64,
-    scheduler_iterations: AtomicU64,
 }
 
 impl FaultState {
@@ -127,7 +114,6 @@ impl FaultState {
         Self {
             plan,
             journal_attempts: AtomicU64::new(0),
-            scheduler_iterations: AtomicU64::new(0),
         }
     }
 
@@ -154,13 +140,6 @@ impl FaultState {
             .find(|(a, _)| *a == attempt)
             .map(|(_, kind)| *kind)
     }
-
-    /// Consumes one scheduler loop iteration; `true` when the scheduler
-    /// must panic on it.
-    pub(crate) fn next_scheduler_iteration(&self) -> bool {
-        let iteration = self.scheduler_iterations.fetch_add(1, Ordering::Relaxed);
-        self.plan.scheduler_panics.contains(&iteration)
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +150,6 @@ mod tests {
     fn plan_builders_accumulate_faults() {
         let plan = FaultPlan::new(7)
             .with_executor_panic(3)
-            .with_scheduler_panic(0)
             .with_journal_error(2, io::ErrorKind::Other)
             .with_batch_delay(Duration::from_millis(5), 4);
         assert_eq!(plan.seed, 7);
@@ -197,7 +175,6 @@ mod tests {
         let state = FaultState::new(
             FaultPlan::new(1)
                 .with_executor_panic(2)
-                .with_scheduler_panic(1)
                 .with_journal_error(1, io::ErrorKind::WouldBlock)
                 .with_batch_delay(Duration::from_millis(3), 2),
         );
@@ -209,8 +186,5 @@ mod tests {
         assert_eq!(state.next_journal_append(), None);
         assert_eq!(state.next_journal_append(), Some(io::ErrorKind::WouldBlock));
         assert_eq!(state.next_journal_append(), None);
-        // Scheduler iterations 0, 1: only iteration 1 panics.
-        assert!(!state.next_scheduler_iteration());
-        assert!(state.next_scheduler_iteration());
     }
 }

@@ -1,5 +1,5 @@
-//! The concurrent pricing gateway: ingress → micro-batching scheduler →
-//! executor pool → completion handles, wrapped in a supervision layer.
+//! The concurrent pricing gateway: ingress → executor pool → completion
+//! handles. Executors form their own micro-batches straight off ingress.
 //!
 //! ```text
 //!  submit(&self, QuoteRequest)            (any number of caller threads)
@@ -11,19 +11,15 @@
 //!        ▼
 //!  IngressQueue (Mutex<VecDeque> + Condvar, bounded by admission)
 //!        │
-//!  scheduler thread: expire stale deadlines, then drain up to max_batch,
-//!        │            or whatever arrived when max_delay expires
+//!  executor pool (N threads), each taking its own batch under the ingress
+//!        │  lock: flush up to max_batch once max_batch are queued, max_delay
+//!        │  after the head request was submitted, or at close; expire stale
+//!        │  deadlines; number the batch in flush order
 //!        ▼
-//!  BatchQueue (Mutex<VecDeque<Batch>> + Condvar)
-//!        │
-//!  executor pool (N threads): PricingService::quote_refs per batch,
-//!        │                    under catch_unwind — a panicked batch fails
-//!        │                    only its own tickets
+//!  PricingService::quote_refs per batch, under catch_unwind — a panicked
+//!        │  batch fails only its own tickets and its executor moves on
 //!        ▼
 //!  QuoteTicket::wait() resolves; telemetry records latency + batch size
-//!
-//!  supervisor thread: respawns panicked executors, watches the scheduler
-//!  and fails pending tickets (instead of hanging) if it dies
 //! ```
 //!
 //! All synchronisation is `std` (`Mutex`/`Condvar`/atomics) — no async
@@ -31,7 +27,7 @@
 //! invariant is structural: every admitted request is owned by exactly one
 //! [`Pending`], and a `Pending` resolves its ticket on drop if nothing else
 //! did, so no [`QuoteTicket::wait`] can block forever — under panics,
-//! injected faults, watchdog activations or shutdown.
+//! injected faults or shutdown.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -71,15 +67,17 @@ pub enum JournalBypassPolicy {
 pub struct GatewayConfig {
     /// Flush a forming batch as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Flush a forming batch this long after its first request arrived,
-    /// even if it is smaller than `max_batch` (the latency deadline).
+    /// Flush a forming batch this long after its oldest request was
+    /// submitted, even if it is smaller than `max_batch` (the latency
+    /// deadline; a delay past the clock's range means no time bound).
     pub max_delay: Duration,
     /// Admission bound: maximum admitted-but-not-yet-completed requests.
     /// Submissions beyond it are rejected with
     /// [`GatewayError::Overloaded`] instead of growing queues without
     /// bound.
     pub queue_capacity: usize,
-    /// Inference executor threads draining flushed batches.
+    /// Executor threads — the gateway's only threads. Each takes its own
+    /// batches straight off ingress and prices them.
     pub executors: usize,
     /// Audit journaling: when set, every admitted request is appended to a
     /// fresh on-disk journal *before* it enters the batching pipeline, so
@@ -88,10 +86,11 @@ pub struct GatewayConfig {
     /// deterministically replays to the service's byte-identical state —
     /// see the `vtm-journal` crate.
     pub journal: Option<JournalOptions>,
-    /// Per-request completion deadline stamped at admission (`None` = no
-    /// deadline). The scheduler expires queued requests whose deadline has
-    /// passed before forming batches ([`GatewayError::DeadlineExceeded`]),
-    /// and [`QuoteTicket::wait`] stops blocking at the deadline.
+    /// Per-request completion deadline stamped at admission (`None`, or a
+    /// deadline past the clock's range, = no deadline). Executors expire
+    /// queued requests whose deadline has passed when they flush a batch
+    /// ([`GatewayError::DeadlineExceeded`]), and [`QuoteTicket::wait`]
+    /// stops blocking at the deadline.
     pub default_deadline: Option<Duration>,
     /// Bounded retries for a failed journal append before the
     /// [`JournalBypassPolicy`] decides the request's fate.
@@ -101,15 +100,11 @@ pub struct GatewayConfig {
     pub journal_backoff: Duration,
     /// What happens when journal retries are exhausted.
     pub journal_policy: JournalBypassPolicy,
-    /// Graceful-degradation ladder (`None` = always Healthy, the exact
-    /// pre-supervision behaviour).
+    /// Graceful-degradation ladder (`None` = always Healthy).
     pub health: Option<HealthConfig>,
     /// Deterministic fault injection for the chaos harness (`None` in
     /// production; see [`FaultPlan`]).
     pub faults: Option<FaultPlan>,
-    /// How often the supervisor thread checks worker liveness (executor
-    /// respawn latency and scheduler-watchdog reaction time).
-    pub supervisor_poll: Duration,
     /// Which fabric shard this gateway is (0 for a standalone gateway).
     /// Purely observational: stamped into [`TelemetrySnapshot::shard`] so a
     /// multi-shard fabric's per-gateway telemetry stays attributable after
@@ -127,7 +122,7 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     /// 32-request batches, a 1 ms flush deadline, 1024 in-flight requests,
     /// one executor, no journaling, no deadlines, 2 journal retries with
-    /// fail-stop, no health controller, no faults, 2 ms supervisor poll.
+    /// fail-stop, no health controller, no faults.
     fn default() -> Self {
         Self {
             max_batch: 32,
@@ -141,7 +136,6 @@ impl Default for GatewayConfig {
             journal_policy: JournalBypassPolicy::FailStop,
             health: None,
             faults: None,
-            supervisor_poll: Duration::from_millis(2),
             shard: 0,
             tracing: None,
         }
@@ -215,12 +209,6 @@ impl GatewayConfig {
         self
     }
 
-    /// Overrides the supervisor liveness-poll interval (clamped ≥ 100 µs).
-    pub fn with_supervisor_poll(mut self, poll: Duration) -> Self {
-        self.supervisor_poll = poll.max(Duration::from_micros(100));
-        self
-    }
-
     /// Tags this gateway with its fabric shard id (telemetry attribution).
     pub fn with_shard(mut self, shard: usize) -> Self {
         self.shard = shard;
@@ -251,17 +239,14 @@ pub enum GatewayError {
         /// Suggested client backoff before retrying, in microseconds.
         retry_after_us: u64,
     },
-    /// The request's deadline passed before it could be priced (expired by
-    /// the scheduler, or reported by a deadline-aware
+    /// The request's deadline passed before it could be priced (expired
+    /// when its batch was flushed, or reported by a deadline-aware
     /// [`QuoteTicket::wait`]).
     DeadlineExceeded,
     /// The executor pricing this request's batch panicked; only that
-    /// batch's requests fail with this error, and the supervisor respawns
-    /// the executor.
+    /// batch's requests fail with this error, and the executor goes on to
+    /// its next batch.
     ExecutorFailed,
-    /// The scheduler thread died; the watchdog failed this pending request
-    /// instead of letting its ticket hang.
-    SchedulerStalled,
     /// The request's feature block has the wrong width for the policy
     /// (checked at submission, before anything is enqueued).
     BadFeatureBlock {
@@ -299,9 +284,6 @@ impl fmt::Display for GatewayError {
             GatewayError::DeadlineExceeded => write!(f, "request deadline exceeded"),
             GatewayError::ExecutorFailed => {
                 write!(f, "executor panicked while pricing the request's batch")
-            }
-            GatewayError::SchedulerStalled => {
-                write!(f, "gateway scheduler stalled; request failed by watchdog")
             }
             GatewayError::BadFeatureBlock {
                 session,
@@ -376,50 +358,41 @@ impl QuoteTicket {
     /// own — nothing leaks). A result that is already available is
     /// returned even past the deadline.
     pub fn wait(self) -> Result<Quote, GatewayError> {
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = slot.result.take() {
-                return result;
-            }
-            match self.deadline {
-                None => slot = self.state.ready.wait(slot).expect("ticket poisoned"),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(GatewayError::DeadlineExceeded);
-                    }
-                    let (guard, _) = self
-                        .state
-                        .ready
-                        .wait_timeout(slot, deadline - now)
-                        .expect("ticket poisoned");
-                    slot = guard;
-                }
-            }
-        }
+        self.wait_until(self.deadline)
+            .unwrap_or(Err(GatewayError::DeadlineExceeded))
     }
 
-    /// Blocks up to `timeout`; `None` when the quote is not ready in time.
+    /// Blocks up to `timeout` (a timeout past the clock's range waits
+    /// without bound); `None` when the quote is not ready in time.
     /// The ticket stays valid and can be waited on again — and if the
     /// request is later shed, expired or failed, the pipeline resolves the
     /// slot with the typed error, so a re-wait always terminates.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Quote, GatewayError>> {
-        let deadline = Instant::now() + timeout;
+        self.wait_until(Instant::now().checked_add(timeout))
+    }
+
+    /// Blocks until the slot holds a result (`Some`) or `deadline` passes
+    /// (`None`); no deadline waits without bound.
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<Quote, GatewayError>> {
         let mut slot = self.state.slot.lock().expect("ticket poisoned");
         loop {
             if let Some(result) = slot.result.take() {
                 return Some(result);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .state
-                .ready
-                .wait_timeout(slot, deadline - now)
-                .expect("ticket poisoned");
-            slot = guard;
+            slot = match deadline {
+                None => self.state.ready.wait(slot).expect("ticket poisoned"),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.state
+                        .ready
+                        .wait_timeout(slot, deadline - now)
+                        .expect("ticket poisoned")
+                        .0
+                }
+            };
         }
     }
 
@@ -479,7 +452,8 @@ impl Drop for Pending {
 }
 
 /// The bounded ingress queue (bounded via the shared in-flight gauge, so
-/// the bound covers queued *and* executing requests).
+/// the bound covers queued *and* executing requests). Executors take their
+/// batches straight off it ([`Shared::next_batch`]).
 #[derive(Default)]
 struct IngressQueue {
     inner: Mutex<IngressInner>,
@@ -490,6 +464,8 @@ struct IngressQueue {
 struct IngressInner {
     queue: VecDeque<Pending>,
     closed: bool,
+    /// Flush-order index of the next batch (what fault plans target).
+    next_index: u64,
 }
 
 impl IngressQueue {
@@ -511,162 +487,28 @@ impl IngressQueue {
         self.not_empty.notify_all();
     }
 
-    /// Removes and returns everything still queued (watchdog / shutdown
-    /// sweep).
+    /// Removes and returns everything still queued (shutdown sweep).
     fn drain_all(&self) -> Vec<Pending> {
         let mut inner = self.inner.lock().expect("ingress poisoned");
         inner.queue.drain(..).collect()
     }
-
-    /// The scheduler's blocking micro-batch drain: waits for a first
-    /// request, then keeps draining until the batch holds `max_batch`
-    /// requests or `max_delay` has passed since the first one arrived —
-    /// whichever comes first. Returns `None` only when the queue is closed
-    /// *and* fully drained.
-    fn pop_batch(&self, max_batch: usize, max_delay: Duration) -> Option<Vec<Pending>> {
-        let mut inner = self.inner.lock().expect("ingress poisoned");
-        // Phase 1: wait for the batch's first request.
-        while inner.queue.is_empty() {
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("ingress poisoned");
-        }
-        let deadline = Instant::now() + max_delay;
-        let mut batch = Vec::with_capacity(max_batch.min(inner.queue.len()));
-        // Phase 2: drain until full or the deadline fires.
-        loop {
-            while batch.len() < max_batch {
-                match inner.queue.pop_front() {
-                    Some(pending) => batch.push(pending),
-                    None => break,
-                }
-            }
-            if batch.len() >= max_batch || inner.closed {
-                return Some(batch);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(batch);
-            }
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .expect("ingress poisoned");
-            inner = guard;
-            if timeout.timed_out() && inner.queue.is_empty() {
-                return Some(batch);
-            }
-        }
-    }
 }
 
-/// One flushed micro-batch with its scheduler-assigned index (flush order;
-/// the unit fault injection and executor supervision reason about).
+/// One flushed micro-batch with its flush-order index (the unit fault
+/// injection reasons about).
 struct Batch {
     index: u64,
     items: Vec<Pending>,
 }
 
-/// The scheduler → executor batch queue (unbounded; its length is already
-/// bounded by admission control upstream).
-#[derive(Default)]
-struct BatchQueue {
-    inner: Mutex<BatchInner>,
-    not_empty: Condvar,
-}
-
-#[derive(Default)]
-struct BatchInner {
-    queue: VecDeque<Batch>,
-    closed: bool,
-}
-
-impl BatchQueue {
-    fn push(&self, batch: Batch) {
-        let mut inner = self.inner.lock().expect("batch queue poisoned");
-        inner.queue.push_back(batch);
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("batch queue poisoned").closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Removes and returns every undrained batch (shutdown sweep after the
-    /// executors are gone).
-    fn drain_all(&self) -> Vec<Batch> {
-        let mut inner = self.inner.lock().expect("batch queue poisoned");
-        inner.queue.drain(..).collect()
-    }
-
-    fn pop(&self) -> Option<Batch> {
-        let mut inner = self.inner.lock().expect("batch queue poisoned");
-        loop {
-            if let Some(batch) = inner.queue.pop_front() {
-                return Some(batch);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("batch queue poisoned");
-        }
-    }
-}
-
-/// A wakeable shutdown latch the supervisor sleeps on, so shutdown never
-/// has to wait out a full poll interval.
-#[derive(Default)]
-struct ShutdownGate {
-    flag: Mutex<bool>,
-    signal: Condvar,
-}
-
-impl ShutdownGate {
-    /// Sleeps up to `timeout`; `true` when shutdown was signalled.
-    fn wait(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut flag = self.flag.lock().expect("shutdown gate poisoned");
-        while !*flag {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .signal
-                .wait_timeout(flag, deadline - now)
-                .expect("shutdown gate poisoned");
-            flag = guard;
-        }
-        true
-    }
-
-    fn open(&self) {
-        *self.flag.lock().expect("shutdown gate poisoned") = true;
-        self.signal.notify_all();
-    }
-}
-
-/// The worker thread handles, owned behind a lock so the supervisor can
-/// reap and respawn executors while the gateway handle is elsewhere.
-#[derive(Default)]
-struct Workers {
-    scheduler: Option<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
-}
-
-/// State shared by the gateway handle, the scheduler, the executors and
-/// the supervisor. The admission counter lives inside [`Telemetry`] (it
-/// doubles as the queue-depth gauge), so there is exactly one in-flight
-/// count.
+/// State shared by the gateway handle and its executors. The admission
+/// counter lives inside [`Telemetry`] (it doubles as the queue-depth
+/// gauge), so there is exactly one in-flight count.
 struct Shared {
     service: Arc<PricingService>,
     config: GatewayConfig,
     telemetry: Arc<Telemetry>,
     ingress: IngressQueue,
-    batches: BatchQueue,
     /// The admission journal, when configured. The mutex is held across
     /// `append` *and* the ingress push, so on-disk frame order is exactly
     /// the order requests entered the pipeline.
@@ -679,12 +521,6 @@ struct Shared {
     faults: Option<FaultState>,
     /// The degradation-ladder controller, if configured.
     health: Option<HealthController>,
-    /// Set (before anything else) by shutdown; workers and the supervisor
-    /// treat every finished thread as normal wind-down from here on.
-    shutting_down: AtomicBool,
-    /// Set by the watchdog when the scheduler died outside shutdown;
-    /// submissions are rejected with [`GatewayError::SchedulerStalled`].
-    scheduler_failed: AtomicBool,
     /// Set when live service state stopped matching the journal's frame
     /// sequence (a batch panicked after its frames were journaled, a
     /// deadline expired a journaled request, a journal append was
@@ -698,9 +534,6 @@ struct Shared {
     /// Per-gateway admission counter: the `seq` half of each request's
     /// stable trace id (`trace_id(session, admission_seq)`).
     admit_seq: AtomicU64,
-    /// Wakes the supervisor out of its poll sleep at shutdown.
-    gate: ShutdownGate,
-    workers: Mutex<Workers>,
 }
 
 impl Shared {
@@ -715,13 +548,86 @@ impl Shared {
     fn trace_now(&self) -> u64 {
         self.tracer.as_ref().map_or(0, Tracer::now_us)
     }
+
+    /// An executor's blocking batch take: waits until the queued requests
+    /// are due — `max_batch` of them, `max_delay` after the head request
+    /// was submitted, or ingress closed — then flushes up to `max_batch`.
+    /// Requests stay queued until that flush, so two executors never split
+    /// one forming batch; deadline expiry and the flush-order index happen
+    /// under the same lock. `None` once ingress is closed and drained.
+    fn next_batch(&self) -> Option<Batch> {
+        let max_batch = self.config.max_batch;
+        let ingress = &self.ingress;
+        let mut inner = ingress.inner.lock().expect("ingress poisoned");
+        let (index, mut items) = loop {
+            let Some(head) = inner.queue.front().map(|p| p.submitted) else {
+                if inner.closed {
+                    return None;
+                }
+                inner = ingress.not_empty.wait(inner).expect("ingress poisoned");
+                continue;
+            };
+            let now = Instant::now();
+            if inner.queue.len() < max_batch && !inner.closed {
+                // A `max_delay` past the clock's range means no time bound.
+                match head.checked_add(self.config.max_delay) {
+                    Some(flush_at) if flush_at <= now => {}
+                    Some(flush_at) => {
+                        let waited = ingress.not_empty.wait_timeout(inner, flush_at - now);
+                        inner = waited.expect("ingress poisoned").0;
+                        continue;
+                    }
+                    None => {
+                        inner = ingress.not_empty.wait(inner).expect("ingress poisoned");
+                        continue;
+                    }
+                }
+            }
+            let take = inner.queue.len().min(max_batch);
+            let mut items = Vec::with_capacity(take);
+            for pending in inner.queue.drain(..take) {
+                // Work that can no longer meet its deadline is failed here
+                // instead of occupying an executor. It may already be
+                // journaled: live state no longer tracks the journal
+                // frame-for-frame.
+                if pending.deadline.is_some_and(|d| now >= d) {
+                    self.mark_diverged();
+                    if pending.state.complete(Err(GatewayError::DeadlineExceeded)) {
+                        pending.telemetry.record_expired();
+                    }
+                } else {
+                    items.push(pending);
+                }
+            }
+            if !items.is_empty() {
+                let index = inner.next_index;
+                inner.next_index += 1;
+                break (index, items);
+            }
+        };
+        drop(inner);
+        self.telemetry.record_batch(items.len());
+        // One batch-formed stamp shared by every traced request in the
+        // batch (they left the queue together); untraced batches never
+        // touch the tracer clock.
+        let mut formed_ts = 0u64;
+        for pending in items.iter_mut() {
+            if let Some(trace) = pending.trace.as_mut() {
+                if formed_ts == 0 {
+                    formed_ts = self.trace_now();
+                }
+                trace.batch_formed_us = formed_ts;
+            }
+        }
+        Some(Batch { index, items })
+    }
 }
 
 /// The concurrent online pricing gateway. See the crate docs for the
 /// design, determinism contract and fault model.
 pub struct Gateway {
     shared: Arc<Shared>,
-    supervisor: Option<JoinHandle<()>>,
+    executors: Vec<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Gateway {
@@ -733,9 +639,8 @@ impl fmt::Debug for Gateway {
 }
 
 impl Gateway {
-    /// Starts a gateway over a shared frozen [`PricingService`]: spawns the
-    /// scheduler thread, `config.executors` executor threads and the
-    /// supervisor.
+    /// Starts a gateway over a shared frozen [`PricingService`]: spawns
+    /// `config.executors` executor threads, the gateway's only threads.
     ///
     /// # Panics
     ///
@@ -773,48 +678,25 @@ impl Gateway {
             config,
             telemetry: Arc::new(Telemetry::new()),
             ingress: IngressQueue::default(),
-            batches: BatchQueue::default(),
             journal,
             frames_processed: AtomicU64::new(0),
             faults,
             health,
-            shutting_down: AtomicBool::new(false),
-            scheduler_failed: AtomicBool::new(false),
             pipeline_diverged: AtomicBool::new(false),
             tracer,
             stages: StageHistograms::new(),
             admit_seq: AtomicU64::new(0),
-            gate: ShutdownGate::default(),
-            workers: Mutex::new(Workers::default()),
         });
-
-        let scheduler = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("vtm-gateway-scheduler".to_string())
-                .spawn(move || scheduler_loop(&shared))
-                .expect("spawn scheduler")
-        };
         let executors = (0..executor_count)
-            .map(|i| spawn_executor(&shared, format!("vtm-gateway-executor-{i}")))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("vtm-gateway-executor-{i}"))
+                    .spawn(move || executor_loop(&shared))
+                    .expect("spawn executor")
+            })
             .collect();
-        {
-            let mut workers = shared.workers.lock().expect("workers poisoned");
-            workers.scheduler = Some(scheduler);
-            workers.executors = executors;
-        }
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("vtm-gateway-supervisor".to_string())
-                .spawn(move || supervisor_loop(&shared))
-                .expect("spawn supervisor")
-        };
-
-        Ok(Self {
-            shared,
-            supervisor: Some(supervisor),
-        })
+        Ok(Self { shared, executors })
     }
 
     /// The gateway configuration.
@@ -840,9 +722,7 @@ impl Gateway {
     /// [`GatewayError::Overloaded`] when `queue_capacity` requests are
     /// already in flight (backpressure — retry later),
     /// [`GatewayError::Journal`] when journaling fails under the fail-stop
-    /// policy, [`GatewayError::SchedulerStalled`] after the watchdog
-    /// declared the scheduler dead, and [`GatewayError::ShutDown`] after
-    /// shutdown.
+    /// policy, and [`GatewayError::ShutDown`] after shutdown.
     pub fn submit(&self, request: QuoteRequest) -> Result<QuoteTicket, GatewayError> {
         let expected = self.shared.service.config().features_per_round;
         if request.features.len() != expected {
@@ -852,11 +732,8 @@ impl Gateway {
                 got: request.features.len(),
             });
         }
-        if self.shared.scheduler_failed.load(Ordering::Acquire) {
-            return Err(GatewayError::SchedulerStalled);
-        }
-        // The degradation ladder is evaluated on the submit path: the
-        // scheduler may legitimately be parked inside its batch drain, so
+        // The degradation ladder is evaluated on the submit path: executors
+        // may legitimately be parked waiting for a batch to fill, so
         // submissions drive the controller.
         if let Some(health) = &self.shared.health {
             let depth = self.shared.telemetry.in_flight();
@@ -915,7 +792,12 @@ impl Gateway {
         });
         let state = TicketState::new();
         let submitted = Instant::now();
-        let deadline = self.shared.config.default_deadline.map(|d| submitted + d);
+        // A deadline past the clock's range is no deadline.
+        let deadline = self
+            .shared
+            .config
+            .default_deadline
+            .and_then(|d| submitted.checked_add(d));
         let mut pending = Pending {
             request,
             state: Arc::clone(&state),
@@ -986,13 +868,8 @@ impl Gateway {
             }
         };
         if let Some(pending) = rejected {
-            let err = if self.shared.scheduler_failed.load(Ordering::Acquire) {
-                GatewayError::SchedulerStalled
-            } else {
-                GatewayError::ShutDown
-            };
-            pending.abort(err.clone());
-            return Err(err);
+            pending.abort(GatewayError::ShutDown);
+            return Err(GatewayError::ShutDown);
         }
         Ok(QuoteTicket { state, deadline })
     }
@@ -1090,50 +967,28 @@ impl Gateway {
             .map_or((0, 0), |t| (t.published(), t.dropped()))
     }
 
-    /// Stops accepting new requests, drains or fails every in-flight
-    /// request (queued work that can no longer be priced fails with
+    /// Stops accepting new requests, prices everything still queued (work
+    /// that can no longer be priced fails with
     /// [`GatewayError::ShuttingDown`] instead of leaking its ticket), joins
-    /// all worker threads and returns the final telemetry snapshot. Called
-    /// implicitly on drop.
+    /// the executor threads and returns the final telemetry snapshot.
+    /// Called implicitly on drop.
     pub fn shutdown(mut self) -> TelemetrySnapshot {
         self.shutdown_inner();
         self.enrich_snapshot(self.shared.telemetry.snapshot())
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.gate.open();
+        // A closed ingress makes every executor flush what is still queued
+        // and then exit.
         self.shared.ingress.close();
-        if let Some(handle) = self.supervisor.take() {
+        for handle in self.executors.drain(..) {
             let _ = handle.join();
         }
-        let (scheduler, executors) = {
-            let mut workers = self.shared.workers.lock().expect("workers poisoned");
-            (
-                workers.scheduler.take(),
-                std::mem::take(&mut workers.executors),
-            )
-        };
-        if let Some(handle) = scheduler {
-            let _ = handle.join();
-        }
-        // A scheduler that died before the watchdog noticed never closed
-        // the batch queue; close it now (idempotent — queued batches are
-        // still drained) so executors can wind down.
-        self.shared.batches.close();
-        for handle in executors {
-            let _ = handle.join();
-        }
-        // Final sweep: every worker is gone, so anything still queued can
+        // Final sweep: every executor is gone, so anything still queued can
         // never be priced — fail it with a typed error instead of leaking
         // the tickets (and their admission slots).
         for pending in self.shared.ingress.drain_all() {
             pending.fail(GatewayError::ShuttingDown);
-        }
-        for batch in self.shared.batches.drain_all() {
-            for pending in &batch.items {
-                pending.fail(GatewayError::ShuttingDown);
-            }
         }
         // Make the journal crash-durable before reporting shutdown complete:
         // every admitted request has been processed (or typed-failed), so
@@ -1152,89 +1007,18 @@ impl Drop for Gateway {
     }
 }
 
-/// Spawns one executor thread (initial pool and supervisor respawns).
-fn spawn_executor(shared: &Arc<Shared>, name: String) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || executor_loop(&shared))
-        .expect("spawn executor")
-}
-
-/// Scheduler thread: expire stale requests, then drain micro-batches off
-/// the ingress queue until it is closed and empty, then close the batch
-/// queue so executors wind down.
-fn scheduler_loop(shared: &Shared) {
-    let max_batch = shared.config.max_batch;
-    let max_delay = shared.config.max_delay;
-    let mut next_index = 0u64;
-    loop {
-        if let Some(faults) = &shared.faults {
-            if faults.next_scheduler_iteration() {
-                panic!("injected scheduler panic");
-            }
-        }
-        let Some(drained) = shared.ingress.pop_batch(max_batch, max_delay) else {
-            break;
-        };
-        // Deadline expiry before batch formation: work that can no longer
-        // meet its deadline is failed here instead of wasting an executor
-        // slot (and, under load shedding, instead of growing the backlog).
-        let now = Instant::now();
-        let mut batch = Vec::with_capacity(drained.len());
-        for pending in drained {
-            if pending.deadline.is_some_and(|d| now >= d) {
-                // The request may already be journaled: live state no
-                // longer tracks the journal frame-for-frame.
-                shared.mark_diverged();
-                if pending.state.complete(Err(GatewayError::DeadlineExceeded)) {
-                    pending.telemetry.record_expired();
-                }
-            } else {
-                batch.push(pending);
-            }
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        shared.telemetry.record_batch(batch.len());
-        // One batch-formed stamp shared by every traced request in the
-        // batch (they left the queue together); untraced batches never
-        // touch the tracer clock.
-        let mut formed_ts = 0u64;
-        for pending in batch.iter_mut() {
-            if let Some(trace) = pending.trace.as_mut() {
-                if formed_ts == 0 {
-                    formed_ts = shared.trace_now();
-                }
-                trace.batch_formed_us = formed_ts;
-            }
-        }
-        shared.batches.push(Batch {
-            index: next_index,
-            items: batch,
-        });
-        next_index += 1;
-    }
-    shared.batches.close();
-}
-
-/// Executor thread: price whole batches against the shared frozen service
-/// and resolve every ticket. Batches run under `catch_unwind`: a panic
-/// fails only that batch's tickets, then the thread exits and the
-/// supervisor respawns it.
+/// Executor thread: takes batches straight off ingress and prices them
+/// until ingress is closed and drained. It holds no state between
+/// batches, so a panicked batch does not end it.
 fn executor_loop(shared: &Shared) {
-    while let Some(batch) = shared.batches.pop() {
-        if !run_batch(shared, batch) {
-            // Deliberate die-and-respawn: a panicked executor's internal
-            // state is suspect, so the supervisor replaces the thread.
-            return;
-        }
+    while let Some(batch) = shared.next_batch() {
+        run_batch(shared, batch);
     }
 }
 
-/// Prices one batch; `false` when the executor must die (batch panicked).
-fn run_batch(shared: &Shared, mut batch: Batch) -> bool {
+/// Prices one batch and resolves its tickets. Pricing runs under
+/// `catch_unwind`: a panic fails only this batch's tickets.
+fn run_batch(shared: &Shared, mut batch: Batch) {
     if let Some(faults) = &shared.faults {
         if let Some(delay) = faults.batch_delay(batch.index) {
             std::thread::sleep(delay);
@@ -1287,13 +1071,12 @@ fn run_batch(shared: &Shared, mut batch: Batch) -> bool {
                 // Record before completing the ticket: a caller that submits
                 // again the instant `wait` returns must already see this
                 // completion in the telemetry/health latency window. The
-                // executor owns its popped batch, so nothing else can have
+                // executor owns its batch, so nothing else can have
                 // resolved these tickets — `complete` always wins here.
                 pending.telemetry.record_completion(latency_us);
                 pending.state.complete(Ok(quote));
             }
             maybe_snapshot(shared, processed as u64);
-            true
         }
         Ok(Err(err)) => {
             // Feature widths were validated at submit time, so this is an
@@ -1304,7 +1087,6 @@ fn run_batch(shared: &Shared, mut batch: Batch) -> bool {
             for pending in &batch.items {
                 pending.fail(GatewayError::Service(message.clone()));
             }
-            true
         }
         Err(_) => {
             // The injected (or real) panic fired before pricing touched the
@@ -1316,74 +1098,8 @@ fn run_batch(shared: &Shared, mut batch: Batch) -> bool {
             for pending in &batch.items {
                 pending.fail(GatewayError::ExecutorFailed);
             }
-            false
         }
     }
-}
-
-/// Supervisor thread: reaps and respawns panicked executors, and watches
-/// the scheduler — if it dies outside shutdown, pending tickets are failed
-/// (typed) instead of hanging forever.
-fn supervisor_loop(shared: &Arc<Shared>) {
-    let mut respawned = 0u64;
-    loop {
-        if shared.gate.wait(shared.config.supervisor_poll) {
-            // Shutdown owns joining the workers from here.
-            return;
-        }
-        // Scheduler watchdog.
-        let scheduler_finished = {
-            let workers = shared.workers.lock().expect("workers poisoned");
-            workers
-                .scheduler
-                .as_ref()
-                .is_some_and(|handle| handle.is_finished())
-        };
-        if scheduler_finished && !shared.shutting_down.load(Ordering::Acquire) {
-            let handle = shared
-                .workers
-                .lock()
-                .expect("workers poisoned")
-                .scheduler
-                .take();
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-            on_scheduler_death(shared);
-        }
-        if shared.scheduler_failed.load(Ordering::Acquire) {
-            // No respawns after scheduler death: the queues are closed and
-            // surviving executors are draining what remains.
-            continue;
-        }
-        // Executor supervision: a finished executor outside shutdown died
-        // from a batch panic — replace it.
-        let mut workers = shared.workers.lock().expect("workers poisoned");
-        for slot in workers.executors.iter_mut() {
-            if slot.is_finished() && !shared.shutting_down.load(Ordering::Acquire) {
-                let name = format!("vtm-gateway-executor-r{respawned}");
-                respawned += 1;
-                let dead = std::mem::replace(slot, spawn_executor(shared, name));
-                let _ = dead.join();
-                shared.telemetry.record_restart();
-            }
-        }
-    }
-}
-
-/// The watchdog path: the scheduler died outside shutdown. Fail everything
-/// it stranded, close the pipeline so executors wind down, and reject
-/// future submissions with a typed error.
-fn on_scheduler_death(shared: &Shared) {
-    shared.scheduler_failed.store(true, Ordering::Release);
-    shared.mark_diverged();
-    shared.telemetry.record_watchdog_fire();
-    shared.ingress.close();
-    for pending in shared.ingress.drain_all() {
-        pending.fail(GatewayError::SchedulerStalled);
-    }
-    // Executors still drain already-flushed batches, then exit.
-    shared.batches.close();
 }
 
 /// Executor-side periodic snapshotting: after a batch completes, capture
@@ -1450,8 +1166,7 @@ mod tests {
             .with_default_deadline(Duration::from_millis(5))
             .with_journal_retries(3)
             .with_journal_backoff(Duration::from_micros(50))
-            .with_journal_policy(JournalBypassPolicy::DegradeWithoutJournal)
-            .with_supervisor_poll(Duration::ZERO);
+            .with_journal_policy(JournalBypassPolicy::DegradeWithoutJournal);
         assert_eq!(config.max_batch, 1);
         assert_eq!(config.queue_capacity, 1);
         assert_eq!(config.executors, 1);
@@ -1463,7 +1178,6 @@ mod tests {
             config.journal_policy,
             JournalBypassPolicy::DegradeWithoutJournal
         );
-        assert_eq!(config.supervisor_poll, Duration::from_micros(100));
         assert_eq!(
             GatewayConfig::default().journal_policy,
             JournalBypassPolicy::FailStop
@@ -1477,7 +1191,6 @@ mod tests {
             GatewayError::Shed { retry_after_us: 9 },
             GatewayError::DeadlineExceeded,
             GatewayError::ExecutorFailed,
-            GatewayError::SchedulerStalled,
             GatewayError::BadFeatureBlock {
                 session: 1,
                 expected: 2,

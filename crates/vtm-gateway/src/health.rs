@@ -2,8 +2,8 @@
 //! Degraded, driven by queue depth and the live latency histogram.
 //!
 //! The controller is evaluated on the submit path (one short mutex hold per
-//! submission — the scheduler may legitimately block inside its batch drain,
-//! so it cannot drive health decisions). Two signals feed it:
+//! submission — executors may legitimately block waiting for a batch to
+//! fill, so they cannot drive health decisions). Two signals feed it:
 //!
 //! * **queue depth** — the admission gauge as a fraction of
 //!   `queue_capacity`; crossing [`HealthConfig::shed_depth`] targets

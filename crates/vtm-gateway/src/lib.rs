@@ -5,17 +5,17 @@
 //! gets quotes back. A deployed MSP front-end faces the opposite shape —
 //! many independent VMU clients, each submitting one request at an
 //! arbitrary time, expecting one answer under a latency budget. This crate
-//! closes that gap with a thread-per-stage gateway (plain `std` threads,
-//! `Mutex`/`Condvar` and atomics — no async runtime):
+//! closes that gap with a gateway whose only threads are its executors
+//! (plain `std` threads, `Mutex`/`Condvar` and atomics — no async runtime):
 //!
-//! * **dynamic micro-batching** — a scheduler thread drains submissions
-//!   into batches, flushing on `max_batch` *or* `max_delay` after the first
-//!   request, whichever comes first; under load batches fill instantly
-//!   (throughput), under trickle traffic the deadline caps added latency;
-//! * **executor pool** — flushed batches are priced by `N` executor
-//!   threads sharing one frozen `Arc<PricingService>` via the
-//!   zero-copy batch-slice entry point
-//!   ([`quote_refs`](vtm_serve::PricingService::quote_refs));
+//! * **dynamic micro-batching** — each executor takes its own batch off
+//!   the ingress queue, flushing on `max_batch` *or* `max_delay` after the
+//!   oldest queued request was submitted, whichever comes first; under load
+//!   batches fill instantly (throughput), under trickle traffic the
+//!   deadline caps added latency;
+//! * **executor pool** — `N` executor threads price their batches against
+//!   one shared frozen `Arc<PricingService>` via the zero-copy batch-slice
+//!   entry point ([`quote_refs`](vtm_serve::PricingService::quote_refs));
 //! * **admission control** — at most `queue_capacity` requests may be in
 //!   flight; submissions beyond that are rejected immediately with
 //!   [`GatewayError::Overloaded`] (backpressure) instead of growing queues
@@ -38,15 +38,12 @@
 //!
 //! # Fault model
 //!
-//! The gateway is supervised: executors price batches under
-//! `catch_unwind`, so a panicked batch fails only its own tickets
-//! ([`GatewayError::ExecutorFailed`]) and the supervisor thread respawns
-//! the executor; a watchdog detects a dead scheduler and fails pending
-//! tickets ([`GatewayError::SchedulerStalled`]) instead of hanging them.
-//! Requests can carry deadlines
-//! ([`GatewayConfig::with_default_deadline`]) — the scheduler expires
-//! stale queued work before batch formation and
-//! [`QuoteTicket::wait`] stops blocking at the deadline. An optional
+//! Executors price batches under `catch_unwind`, so a panicked batch fails
+//! only its own tickets ([`GatewayError::ExecutorFailed`]) and its executor
+//! goes on to the next batch. Requests can carry deadlines
+//! ([`GatewayConfig::with_default_deadline`]) — executors expire stale
+//! queued work when they flush a batch and [`QuoteTicket::wait`] stops
+//! blocking at the deadline. An optional
 //! three-state health controller ([`HealthConfig`], Healthy → Shedding →
 //! Degraded) sheds load with a computed `retry_after` hint and, when
 //! degraded, answers from the service's session-local last-quote cache
@@ -54,20 +51,19 @@
 //! retry-with-backoff and an explicit [`JournalBypassPolicy`], so a bad
 //! disk cannot freeze admission. All of it is testable deterministically:
 //! a seeded [`FaultPlan`] ([`GatewayConfig::with_faults`]) injects
-//! executor panics, scheduler panics, journal i/o errors and artificial
-//! batch latency at exact, reproducible points.
+//! executor panics, journal i/o errors and artificial batch latency at
+//! exact, reproducible points.
 //!
 //! The liveness invariant is structural: every admitted request resolves
-//! its ticket exactly once — on completion, failure, expiry, watchdog
-//! sweep or shutdown — so no [`QuoteTicket::wait`] blocks forever under
-//! any injected fault.
+//! its ticket exactly once — on completion, failure, expiry or shutdown —
+//! so no [`QuoteTicket::wait`] blocks forever under any injected fault.
 //!
 //! # Determinism contract
 //!
 //! With a **single executor** and **greedy** inference, gateway output for
 //! a given request sequence is bit-identical to calling
 //! [`PricingService::quote_batch`](vtm_serve::PricingService::quote_batch)
-//! on the same sequence, *no matter how the scheduler happens to slice it
+//! on the same sequence, *no matter how the executor happens to slice it
 //! into batches*: per-session history updates apply in submission order
 //! (single FIFO ingress), batch assembly never changes a forward pass's
 //! row values, and greedy quotes depend only on the assembled observation.

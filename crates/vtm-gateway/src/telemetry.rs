@@ -36,8 +36,8 @@ pub struct Telemetry {
     rejected: AtomicU64,
     /// Requests failed by an executor-side service error.
     failed: AtomicU64,
-    /// Requests expired by the scheduler before batch formation because
-    /// their deadline had already passed.
+    /// Requests expired at batch formation because their deadline had
+    /// already passed.
     expired: AtomicU64,
     /// Submissions rejected by the health controller's Shedding state
     /// (distinct from `rejected`, which is the hard admission bound).
@@ -45,19 +45,14 @@ pub struct Telemetry {
     /// Submissions answered from the session-local last-quote cache while
     /// Degraded (these never enter the pipeline).
     degraded_quotes: AtomicU64,
-    /// Executor batch panics caught by the supervisor layer.
+    /// Executor batch panics caught (each failed only its own batch).
     panics: AtomicU64,
-    /// Executor threads respawned after a panic.
-    restarts: AtomicU64,
-    /// Scheduler-watchdog activations (a dead scheduler detected and its
-    /// pending work failed instead of hanging).
-    watchdog_fires: AtomicU64,
     /// Journal append retries after a transient append failure.
     journal_retries: AtomicU64,
     /// Admissions that proceeded without a journal frame under the
     /// `DegradeWithoutJournal` bypass policy.
     journal_bypassed: AtomicU64,
-    /// Batches flushed by the scheduler.
+    /// Batches flushed by the executors.
     batches: AtomicU64,
     /// Admitted-but-not-yet-completed requests — both the queue-depth
     /// gauge and the admission counter (see [`Telemetry::try_admit`]).
@@ -92,8 +87,6 @@ impl Telemetry {
             shed: AtomicU64::new(0),
             degraded_quotes: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            watchdog_fires: AtomicU64::new(0),
             journal_retries: AtomicU64::new(0),
             journal_bypassed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -157,7 +150,7 @@ impl Telemetry {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Records a queued request expired by the scheduler (it held an
+    /// Records a queued request expired at batch formation (it held an
     /// in-flight slot, which is released here).
     pub(crate) fn record_expired(&self) {
         self.expired.fetch_add(1, Ordering::Relaxed);
@@ -177,16 +170,6 @@ impl Telemetry {
     /// Records one caught executor batch panic.
     pub(crate) fn record_panic(&self) {
         self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one executor respawn by the supervisor.
-    pub(crate) fn record_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one scheduler-watchdog activation.
-    pub(crate) fn record_watchdog_fire(&self) {
-        self.watchdog_fires.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one retried journal append attempt.
@@ -240,8 +223,6 @@ impl Telemetry {
             shed: self.shed.load(Ordering::Relaxed),
             degraded_quotes: self.degraded_quotes.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            watchdog_fires: self.watchdog_fires.load(Ordering::Relaxed),
             journal_retries: self.journal_retries.load(Ordering::Relaxed),
             journal_bypassed: self.journal_bypassed.load(Ordering::Relaxed),
             health: HealthState::Healthy,
@@ -283,8 +264,8 @@ pub struct TelemetrySnapshot {
     pub rejected: u64,
     /// Requests failed by a service error.
     pub failed: u64,
-    /// Requests expired by the scheduler because their deadline passed
-    /// before batch formation.
+    /// Requests expired at batch formation because their deadline had
+    /// passed.
     pub expired: u64,
     /// Submissions rejected while the health controller was Shedding.
     pub shed: u64,
@@ -292,10 +273,6 @@ pub struct TelemetrySnapshot {
     pub degraded_quotes: u64,
     /// Executor batch panics caught and contained.
     pub panics: u64,
-    /// Executor threads respawned after a panic.
-    pub restarts: u64,
-    /// Scheduler-watchdog activations.
-    pub watchdog_fires: u64,
     /// Journal append retries after transient failures.
     pub journal_retries: u64,
     /// Admissions that proceeded without a journal frame (bypass policy).
@@ -310,7 +287,7 @@ pub struct TelemetrySnapshot {
     /// Fabric shard id of the gateway this snapshot came from, copied from
     /// [`crate::GatewayConfig::shard`] (0 for a standalone gateway).
     pub shard: usize,
-    /// Batches flushed by the scheduler.
+    /// Batches flushed by the executors.
     pub batches: u64,
     /// Admitted-but-not-yet-completed requests at snapshot time.
     pub queue_depth: u64,
@@ -367,7 +344,7 @@ impl TelemetrySnapshot {
              \"batches\": {}, \"queue_depth\": {}, \"health\": \"{}\", \
              \"precision\": \"{}\", \"shard\": {}, \
              \"faults\": {{\"expired\": {}, \"shed\": {}, \"degraded_quotes\": {}, \
-             \"panics\": {}, \"restarts\": {}, \"watchdog_fires\": {}}}, \
+             \"panics\": {}}}, \
              \"journal\": {{\"frames\": {}, \"bytes\": {}, \"snapshots\": {}, \
              \"retries\": {}, \"bypassed\": {}, \"append_mean_us\": {:.1}, \
              \"append_max_us\": {}}}, \
@@ -388,8 +365,6 @@ impl TelemetrySnapshot {
             self.shed,
             self.degraded_quotes,
             self.panics,
-            self.restarts,
-            self.watchdog_fires,
             self.journal_frames,
             self.journal_bytes,
             self.snapshots,
@@ -428,7 +403,7 @@ impl TelemetrySnapshot {
     /// [`MetricsRegistry`] under the `vtm_gateway_` namespace, tagging each
     /// sample with `labels` (plus `stage` for the per-stage histograms).
     pub fn register_metrics(&self, registry: &mut MetricsRegistry, labels: &[(&str, &str)]) {
-        let counters: [(&str, &str, u64); 15] = [
+        let counters: [(&str, &str, u64); 13] = [
             (
                 "vtm_gateway_submitted_total",
                 "Requests admitted past admission control.",
@@ -468,16 +443,6 @@ impl TelemetrySnapshot {
                 "vtm_gateway_panics_total",
                 "Executor batch panics caught.",
                 self.panics,
-            ),
-            (
-                "vtm_gateway_restarts_total",
-                "Executor threads respawned.",
-                self.restarts,
-            ),
-            (
-                "vtm_gateway_watchdog_fires_total",
-                "Scheduler-watchdog activations.",
-                self.watchdog_fires,
             ),
             (
                 "vtm_gateway_journal_retries_total",
@@ -655,8 +620,6 @@ mod tests {
         t.record_reject();
         t.record_shed();
         t.record_panic();
-        t.record_restart();
-        t.record_watchdog_fire();
         t.record_journal_retry();
         t.record_journal_bypass();
         assert!(t.try_admit(8));
@@ -671,7 +634,7 @@ mod tests {
         assert!(json.contains("\"health\": \"healthy\""));
         assert!(json.contains(
             "\"faults\": {\"expired\": 1, \"shed\": 1, \"degraded_quotes\": 1, \
-             \"panics\": 1, \"restarts\": 1, \"watchdog_fires\": 1}"
+             \"panics\": 1}"
         ));
         assert!(json.contains("\"retries\": 1, \"bypassed\": 1"));
     }

@@ -1,8 +1,8 @@
 //! Fixed-seed chaos suite: deterministic fault plans injected into a live
 //! gateway, asserting the liveness invariant (every submitted ticket
-//! resolves — no `wait` hangs), exact fault telemetry (`panics`,
-//! `restarts`, `shed`, `expired`, `degraded_quotes`, journal counters) and
-//! journal/replay equivalence under partial failure.
+//! resolves — no `wait` hangs), exact fault telemetry (`panics`, `shed`,
+//! `expired`, `degraded_quotes`, journal counters) and journal/replay
+//! equivalence under partial failure.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -52,8 +52,8 @@ fn cleanup(journal: &PathBuf) {
 }
 
 /// Polls `cond` until it holds or `timeout` elapses; returns the final
-/// evaluation (async fault handling — supervisor respawns, watchdog fires —
-/// settles within milliseconds, but never at an exact instant).
+/// evaluation (an expired ticket resolves just before the executor counts
+/// the expiry, so the counter settles within microseconds of the wait).
 fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + timeout;
     loop {
@@ -87,10 +87,10 @@ fn serial_config() -> GatewayConfig {
         .with_max_delay(Duration::from_micros(100))
 }
 
-/// Executor panic mid-run: only the panicked batch's ticket fails, the
-/// supervisor respawns the executor, and every later request completes.
+/// Executor panic mid-run: only the panicked batch's ticket fails, and the
+/// same executor goes on to price every later request.
 #[test]
-fn executor_panic_fails_only_its_batch_and_is_respawned() {
+fn executor_panic_fails_only_its_batch_and_the_executor_moves_on() {
     let snap = policy(71);
     let service = fresh_service(&snap);
     let gateway = Gateway::start(
@@ -112,14 +112,8 @@ fn executor_panic_fails_only_its_batch_and_is_respawned() {
             completed += 1;
         }
     }
-    assert!(
-        eventually(Duration::from_secs(10), || gateway.telemetry().restarts
-            == 1),
-        "supervisor must respawn the panicked executor exactly once"
-    );
     let stats = gateway.shutdown();
     assert_eq!(stats.panics, 1);
-    assert_eq!(stats.restarts, 1);
     assert_eq!(stats.completed, completed);
     assert_eq!(stats.completed, 5);
     assert_eq!(stats.failed, 1);
@@ -159,7 +153,7 @@ fn deadline_storm_expires_every_request_with_exact_counters() {
     }
     assert!(
         eventually(Duration::from_secs(10), || gateway.telemetry().expired == 6),
-        "scheduler must expire all six requests"
+        "the executor must expire all six requests"
     );
     let stats = gateway.shutdown();
     assert_eq!(stats.expired, 6);
@@ -190,7 +184,7 @@ fn wait_unblocks_at_the_deadline_before_the_pipeline_resolves() {
     );
     assert!(
         eventually(Duration::from_secs(10), || gateway.telemetry().expired == 1),
-        "the scheduler must expire the parked request on its own"
+        "the executor must expire the parked request on its own"
     );
     let stats = gateway.shutdown();
     assert_eq!(
@@ -342,89 +336,119 @@ fn journal_retries_heal_transient_errors_without_losing_frames() {
     cleanup(&journal);
 }
 
-/// Scheduler death: the watchdog fails every stranded ticket with a typed
-/// error instead of hanging them, and later submissions are rejected.
+/// A request parked in a forming batch by a long `max_delay`: a timed-out
+/// `wait_timeout` neither consumes nor leaks the ticket, and shutdown
+/// flushes the batch, so the same ticket then yields its quote.
 #[test]
-fn watchdog_fails_pending_tickets_when_the_scheduler_dies() {
-    let service = fresh_service(&policy(77));
+fn shutdown_flushes_a_parked_batch_so_a_timed_out_ticket_still_resolves() {
     let gateway = Gateway::start(
-        Arc::clone(&service),
+        fresh_service(&policy(78)),
         GatewayConfig::default()
-            .with_executors(1)
-            .with_supervisor_poll(Duration::from_millis(1))
-            .with_faults(FaultPlan::new(5).with_scheduler_panic(0)),
+            .with_max_batch(64)
+            .with_max_delay(Duration::from_secs(600)),
     );
-    // The scheduler panics on its very first iteration, before draining
-    // anything; these submissions land in the ingress queue.
-    let tickets: Vec<_> = requests(3)
-        .into_iter()
-        .filter_map(|req| gateway.submit(req).ok())
-        .collect();
-    for ticket in &tickets {
-        let result = ticket
-            .wait_timeout(Duration::from_secs(30))
-            .expect("liveness: the watchdog must resolve stranded tickets");
-        assert_eq!(result, Err(GatewayError::SchedulerStalled));
-    }
-    assert!(
-        eventually(Duration::from_secs(10), || {
-            gateway.telemetry().watchdog_fires == 1
-        }),
-        "the watchdog must fire exactly once"
-    );
-    assert!(matches!(
-        gateway.submit(requests(1).pop().unwrap()),
-        Err(GatewayError::SchedulerStalled)
-    ));
+    let request = requests(1).pop().unwrap();
+    let ticket = gateway.submit(request.clone()).unwrap();
+    assert_eq!(ticket.wait_timeout(Duration::from_millis(5)), None);
     let stats = gateway.shutdown();
-    assert_eq!(stats.watchdog_fires, 1);
-    assert_eq!(stats.failed, tickets.len() as u64);
-    assert_eq!(stats.completed, 0);
-    assert_eq!(stats.queue_depth, 0);
-    assert_eq!(service.stats().quotes, 0);
+    assert_eq!(
+        (stats.completed, stats.batches, stats.queue_depth),
+        (1, 1, 0)
+    );
+    let quote = ticket
+        .wait_timeout(Duration::from_secs(1))
+        .expect("shutdown must resolve the parked ticket")
+        .unwrap();
+    assert_eq!(quote.session, request.session);
 }
 
-/// Shutdown under a dead executor pool: queued batches that can no longer
-/// be priced are failed with `ShuttingDown` — and a ticket that already
-/// timed out in `wait_timeout` stays waitable and receives that error too
-/// (the wait-timeout-leak satellite).
+/// The flush timer runs from the head request's submission, not from when
+/// an executor gets to look: a request that sat out `max_delay` while the
+/// only executor was busy flushes the moment that executor frees up.
 #[test]
-fn shutdown_sweeps_stranded_batches_with_a_typed_error() {
-    let service = fresh_service(&policy(78));
+fn max_delay_counts_from_submission_while_the_executor_is_busy() {
     let gateway = Gateway::start(
-        Arc::clone(&service),
-        serial_config()
-            // A poll far beyond the test horizon: the dead executor stays
-            // dead, so batches 1 and 2 are stranded until shutdown.
-            .with_supervisor_poll(Duration::from_secs(600))
-            .with_faults(FaultPlan::new(6).with_executor_panic(0)),
+        fresh_service(&policy(77)),
+        GatewayConfig::default()
+            .with_executors(1)
+            .with_max_batch(64)
+            .with_max_delay(Duration::from_millis(200))
+            .with_faults(FaultPlan::new(5).with_batch_delay(Duration::from_millis(600), 1)),
+    );
+    let mut reqs = requests(2).into_iter();
+    let started = Instant::now();
+    // Batch 0 flushes at ~200 ms and keeps the executor busy until ~800 ms.
+    let first = gateway.submit(reqs.next().unwrap()).unwrap();
+    std::thread::sleep(Duration::from_millis(300).saturating_sub(started.elapsed()));
+    let submitted = Instant::now();
+    let second = gateway.submit(reqs.next().unwrap()).unwrap();
+    second
+        .wait_timeout(Duration::from_secs(30))
+        .expect("liveness")
+        .unwrap();
+    let waited = submitted.elapsed();
+    assert!(
+        waited < Duration::from_millis(650),
+        "the second request waited {waited:?}: its 200 ms flush timer had \
+         run out when the executor freed up ~500 ms after it was submitted"
+    );
+    assert!(first.wait().is_ok());
+    let stats = gateway.shutdown();
+    assert_eq!((stats.batches, stats.completed), (2, 2));
+}
+
+/// A default deadline past the clock's range means "no deadline": submit
+/// neither panics nor leaks its admission slot.
+#[test]
+fn a_default_deadline_past_the_clock_range_is_no_deadline() {
+    let gateway = Gateway::start(
+        fresh_service(&policy(82)),
+        serial_config().with_default_deadline(Duration::MAX),
+    );
+    assert!(gateway.quote(requests(1).pop().unwrap()).is_ok());
+    let stats = gateway.shutdown();
+    assert_eq!(
+        (stats.completed, stats.expired, stats.queue_depth),
+        (1, 0, 0)
+    );
+}
+
+/// A `max_delay` past the clock's range means "no time bound": a batch
+/// still flushes on `max_batch` and at shutdown, and forming one never
+/// panics while holding the ingress lock.
+#[test]
+fn a_max_delay_past_the_clock_range_flushes_on_size_and_shutdown() {
+    let gateway = Gateway::start(
+        fresh_service(&policy(83)),
+        GatewayConfig::default()
+            .with_max_batch(2)
+            .with_max_delay(Duration::MAX),
     );
     let tickets: Vec<_> = requests(3)
         .into_iter()
         .map(|req| gateway.submit(req).unwrap())
         .collect();
-    assert_eq!(
-        tickets[0]
-            .wait_timeout(Duration::from_secs(30))
-            .expect("the panicked batch must fail its own ticket"),
-        Err(GatewayError::ExecutorFailed)
-    );
-    // A timed-out wait does not consume or leak the ticket…
-    assert_eq!(tickets[1].wait_timeout(Duration::from_millis(5)), None);
-    let stats = gateway.shutdown();
-    assert_eq!(stats.panics, 1);
-    assert_eq!(stats.restarts, 0, "supervisor never polled");
-    assert_eq!(stats.completed, 0);
-    assert_eq!(stats.failed, 3);
-    assert_eq!(stats.queue_depth, 0);
-    // …shutdown resolves it (and the never-waited one) with the typed
-    // sweep error.
-    for ticket in &tickets[1..] {
-        assert_eq!(
-            ticket.wait_timeout(Duration::from_secs(1)),
-            Some(Err(GatewayError::ShuttingDown))
-        );
+    for ticket in &tickets[..2] {
+        assert!(matches!(
+            ticket.wait_timeout(Duration::from_secs(30)),
+            Some(Ok(_))
+        ));
     }
+    assert_eq!(tickets[2].wait_timeout(Duration::from_millis(5)), None);
+    drop(gateway);
+    assert!(matches!(
+        tickets[2].wait_timeout(Duration::from_secs(1)),
+        Some(Ok(_))
+    ));
+}
+
+/// `wait_timeout` with a timeout past the clock's range waits without
+/// bound instead of panicking in the caller.
+#[test]
+fn a_wait_timeout_past_the_clock_range_waits_for_the_quote() {
+    let gateway = Gateway::start(fresh_service(&policy(84)), serial_config());
+    let ticket = gateway.submit(requests(1).pop().unwrap()).unwrap();
+    assert!(matches!(ticket.wait_timeout(Duration::MAX), Some(Ok(_))));
 }
 
 /// Depth-driven shedding: once the queue depth fraction crosses the
@@ -562,9 +586,6 @@ fn empty_fault_plan_is_behaviourally_invisible() {
     }
     let stats = gateway.shutdown();
     assert_eq!(stats.completed, 12);
-    assert_eq!(
-        (stats.panics, stats.restarts, stats.expired, stats.shed),
-        (0, 0, 0, 0)
-    );
+    assert_eq!((stats.panics, stats.expired, stats.shed), (0, 0, 0));
     assert_eq!(service.state_digest(), reference_digest(&snap, &reqs));
 }

@@ -55,8 +55,6 @@ fn golden_snapshot() -> TelemetrySnapshot {
     snap.shed = 2;
     snap.degraded_quotes = 5;
     snap.panics = 1;
-    snap.restarts = 1;
-    snap.watchdog_fires = 1;
     snap.journal_retries = 2;
     snap.journal_bypassed = 3;
     snap.precision = "f64";
@@ -102,7 +100,7 @@ fn telemetry_snapshot_json_matches_golden() {
     for path in [
         "submitted",
         "faults.expired",
-        "faults.watchdog_fires",
+        "faults.panics",
         "journal.bypassed",
         "journal.append_mean_us",
         "latency_us.p99",

@@ -97,9 +97,9 @@ pub struct TraceRecord {
     pub journal_start_us: u64,
     /// Journal append finished (0 when not journaled).
     pub journal_end_us: u64,
-    /// Pushed onto the scheduler's ingress queue.
+    /// Pushed onto the gateway's ingress queue.
     pub enqueue_us: u64,
-    /// The scheduler closed the batch containing this request.
+    /// An executor flushed the batch containing this request off ingress.
     pub batch_formed_us: u64,
     /// An executor began the batched forward pass.
     pub execute_start_us: u64,
