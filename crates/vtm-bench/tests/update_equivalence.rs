@@ -1,13 +1,18 @@
 //! Pins the fused, allocation-free PPO update path bit-identical to the
 //! pre-fusion reference implementation on a fixed-seed training run at the
-//! paper's shapes (obs_dim 7, 64x64 MLP, mini-batch 20, M = 10 epochs).
+//! paper's shapes (obs_dim 7, 64x64 MLP, mini-batch 20, M = 10 epochs),
+//! and across batch and action shapes.
 //!
 //! Every kernel the fused path uses (`affine_into`, `matmul_at_b_into`,
 //! `matmul_a_bt_into`, the batched Gaussian row ops, the shared Adam slice
 //! kernel) accumulates in the same floating-point order as the allocating
-//! reference, so the comparison below is exact equality, not a tolerance.
+//! reference, and the concurrently run actor and critic halves share no
+//! parameter or optimizer state, so the comparison below is exact
+//! equality, not a tolerance.
 
 use vtm_bench::{update_bench_agent, update_bench_samples};
+use vtm_rl::env::ActionSpace;
+use vtm_rl::ppo::{PpoAgent, PpoConfig};
 
 #[test]
 fn fused_update_matches_reference_bitwise_over_training_run() {
@@ -104,14 +109,33 @@ fn fused_update_is_at_least_1_5x_faster_than_reference() {
 }
 
 #[test]
-fn fused_update_handles_ragged_final_minibatch() {
-    // 33 samples with |I| = 20 leaves a final minibatch of 13: the gather
-    // scratch must resize across batch sizes without corrupting results.
-    let mut fused = update_bench_agent(7);
-    let mut reference = fused.clone();
-    let samples = update_bench_samples(&fused, 33, 5);
-    let sf = fused.update(&samples);
-    let sr = reference.update_reference(&samples);
-    assert_eq!(sf, sr);
-    assert_eq!(fused, reference);
+fn update_matches_reference_across_shapes() {
+    // Samples per update and action space, with |I| = 20:
+    // - 33 samples leave a ragged final minibatch of 13, so the gather
+    //   scratch must resize across batch sizes;
+    // - 7 samples are fewer than one minibatch;
+    // - a 2-dimensional action steps the log-std optimizer on a vector.
+    let cases = [
+        (33, ActionSpace::scalar(5.0, 50.0)),
+        (7, ActionSpace::scalar(5.0, 50.0)),
+        (
+            33,
+            ActionSpace {
+                low: vec![5.0, 0.0],
+                high: vec![50.0, 1.0],
+            },
+        ),
+    ];
+    for (n, space) in cases {
+        let shape = format!("{n} samples x {}-dim action", space.dim());
+        let mut fused = PpoAgent::new(PpoConfig::new(7, space.dim()).with_seed(7), space);
+        let mut reference = fused.clone();
+        for round in 0..3 {
+            let samples = update_bench_samples(&fused, n, 5 + round);
+            let sf = fused.update(&samples);
+            let sr = reference.update_reference(&samples);
+            assert_eq!(sf, sr, "{shape}: stats diverged at round {round}");
+            assert_eq!(fused, reference, "{shape}: agent diverged at round {round}");
+        }
+    }
 }

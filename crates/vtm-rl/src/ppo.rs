@@ -123,6 +123,21 @@ impl PpoConfig {
         if !positive_finite(self.clip_epsilon) {
             return Err("clip epsilon must be positive".to_string());
         }
+        // A norm <= 0 would scale every gradient step uphill or to zero and
+        // NaN would silently skip clipping; +inf is allowed and means no clip.
+        if self.max_grad_norm.is_nan() || self.max_grad_norm <= 0.0 {
+            return Err("max_grad_norm must be positive".to_string());
+        }
+        for (name, value) in [
+            ("value_loss_coef", self.value_loss_coef),
+            ("entropy_coef", self.entropy_coef),
+            ("initial_log_std", self.initial_log_std),
+            ("min_log_std", self.min_log_std),
+        ] {
+            if !value.is_finite() {
+                return Err(format!("{name} must be finite"));
+            }
+        }
         if self.update_epochs == 0 {
             return Err("update_epochs must be positive".to_string());
         }
@@ -169,26 +184,31 @@ pub struct ActionSample {
     pub value: f64,
 }
 
-/// Reusable buffers for the fused, allocation-free PPO update path.
+/// Reusable buffers for the PPO update path.
 ///
-/// The agent owns one workspace for its whole lifetime: minibatch gathers,
-/// forward/backward caches ([`TrainWorkspace`]), gradient scratch
-/// ([`MlpGrads`]) and the batched-Gaussian intermediates are all resized in
-/// place, so steady-state updates perform zero heap allocation.
+/// The agent owns one workspace for its whole lifetime. The minibatch
+/// order, each half's gathers, forward/backward caches ([`TrainWorkspace`]),
+/// gradient scratch ([`MlpGrads`]) and the batched-Gaussian intermediates
+/// are all resized in place, so minibatch steps allocate nothing in steady
+/// state. The actor and critic halves own disjoint buffers because they run
+/// on different threads.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct UpdateWorkspace {
-    /// Shuffled sample indices, re-dealt each epoch.
-    indices: Vec<usize>,
+    /// Every epoch's shuffle of the sample indices, dealt back to back.
+    order: Vec<usize>,
+    /// Scratch of the actor half.
+    actor: ActorWorkspace,
+    /// Scratch of the critic half.
+    critic: CriticWorkspace,
+}
+
+/// Scratch of the actor half of an update.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct ActorWorkspace {
     /// Gathered minibatch observations (`batch x obs_dim`).
     obs: Matrix,
     /// Gathered minibatch actions (`batch x action_dim`).
     actions: Matrix,
-    /// Gathered behaviour-policy log-probabilities.
-    old_log_probs: Vec<f64>,
-    /// Gathered advantages.
-    advantages: Vec<f64>,
-    /// Gathered value targets.
-    value_targets: Vec<f64>,
     /// New-policy log-probabilities (batched Gaussian output).
     new_log_probs: Vec<f64>,
     /// Batched `d log_prob / d mean` rows.
@@ -197,21 +217,48 @@ struct UpdateWorkspace {
     grad_log_std_rows: Matrix,
     /// Loss gradient w.r.t. the actor output (means).
     grad_mean: Matrix,
-    /// Loss gradient w.r.t. the critic output (values).
-    grad_values: Matrix,
     /// Accumulated log-std gradient.
     grad_log_std: Vec<f64>,
     /// Actor forward/backward caches.
-    actor_ws: TrainWorkspace,
-    /// Critic forward/backward caches.
-    critic_ws: TrainWorkspace,
+    net: TrainWorkspace,
     /// Actor parameter-gradient scratch.
-    actor_grads: MlpGrads,
-    /// Critic parameter-gradient scratch.
-    critic_grads: MlpGrads,
+    grads: MlpGrads,
     /// One Gaussian reused across all minibatches (mean/log-std are copied
     /// in place, never reallocated).
     dist: Option<DiagGaussian>,
+}
+
+/// Scratch of the critic half of an update.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct CriticWorkspace {
+    /// Gathered minibatch observations (`batch x obs_dim`).
+    obs: Matrix,
+    /// Loss gradient w.r.t. the critic output (values).
+    grad_values: Matrix,
+    /// Critic forward/backward caches.
+    net: TrainWorkspace,
+    /// Critic parameter-gradient scratch.
+    grads: MlpGrads,
+}
+
+/// The state the actor half of an update borrows: the policy network, its
+/// log-std, both their optimizers and the actor scratch.
+struct ActorHalf<'a> {
+    config: &'a PpoConfig,
+    net: &'a mut Mlp,
+    optimizer: &'a mut Adam,
+    log_std: &'a mut [f64],
+    log_std_optimizer: &'a mut VectorAdam,
+    ws: &'a mut ActorWorkspace,
+}
+
+/// The state the critic half of an update borrows: the value network, its
+/// optimizer and the critic scratch.
+struct CriticHalf<'a> {
+    config: &'a PpoConfig,
+    net: &'a mut Mlp,
+    optimizer: &'a mut Adam,
+    ws: &'a mut CriticWorkspace,
 }
 
 /// The PPO agent: Gaussian actor, value critic and their optimizers.
@@ -554,14 +601,26 @@ impl PpoAgent {
     /// Returns per-update statistics. The samples are typically produced by
     /// [`RolloutBuffer::process`] with this agent's `gamma`/`lambda`.
     ///
-    /// This is the fused, fully batched update path: minibatches are gathered
-    /// into the agent's persistent update workspace, forward/backward
+    /// The update runs the actor and the critic concurrently. It first deals
+    /// every epoch's shuffle into one index buffer, with the same RNG draws
+    /// as [`RolloutBuffer::minibatches`]. A scoped thread then runs the
+    /// critic half over every minibatch of every epoch (gather, forward,
+    /// value loss, backward, gradient clip, Adam) while the calling thread
+    /// runs the actor half (gather, forward, batched Gaussian, clipped
+    /// surrogate, backward, gradient clip, Adam, then the log-std step and
+    /// its floor). The halves join once per update; a panic in either is
+    /// re-raised on the calling thread.
+    ///
+    /// Results are bit-identical to [`PpoAgent::update_reference`]
+    /// (asserted by `vtm-bench/tests/update_equivalence.rs`): the halves
+    /// share only the read-only samples and minibatch order, never a
+    /// parameter, optimizer moment or clipping norm (each network clips its
+    /// own gradient), and each half sums its terms in the reference order.
+    /// Both halves reuse the agent's update workspace, forward/backward
     /// passes run through [`Mlp::forward_train_ws`] / [`Mlp::backward_ws`]
-    /// and the Gaussian surrogate terms are evaluated with the batched
-    /// [`DiagGaussian`] row ops, so steady-state updates perform zero heap
-    /// allocation. Results are bit-identical to
-    /// [`PpoAgent::update_reference`] (asserted by
-    /// `vtm-bench/tests/update_equivalence.rs`).
+    /// and the Gaussian surrogate terms use the batched [`DiagGaussian`]
+    /// row ops, so in steady state the thread spawn is the update's only
+    /// heap allocation.
     ///
     /// # Panics
     ///
@@ -579,42 +638,61 @@ impl PpoAgent {
         if samples.is_empty() {
             return PpoUpdateStats::default();
         }
-        // The workspace is moved out so minibatch updates can borrow the
-        // agent mutably alongside it; moving a struct allocates nothing.
-        let mut ws = std::mem::take(&mut self.update_ws);
-        let mut stats = PpoUpdateStats::default();
-        let mut total_batches = 0usize;
         let mut rng = self.next_rng();
-        let minibatch = self.config.minibatch_size;
+        let ws = &mut self.update_ws;
+        ws.order.clear();
         for _ in 0..self.config.update_epochs {
             // Same deal as `RolloutBuffer::minibatches` (identical RNG
             // consumption), without allocating the per-batch vectors.
-            ws.indices.clear();
-            ws.indices.extend(0..samples.len());
-            ws.indices.shuffle(&mut rng);
-            let mut start = 0;
-            while start < samples.len() {
-                let end = (start + minibatch).min(samples.len());
-                let batch_stats = self.update_minibatch_fused(&mut ws, samples, start, end);
+            let start = ws.order.len();
+            ws.order.extend(0..samples.len());
+            ws.order[start..].shuffle(&mut rng);
+        }
+        let order = &ws.order;
+        let minibatch = self.config.minibatch_size;
+        let minibatches = || {
+            order
+                .chunks(samples.len())
+                .flat_map(move |epoch| epoch.chunks(minibatch))
+        };
+        let mut actor = ActorHalf {
+            config: &self.config,
+            net: &mut self.actor,
+            optimizer: &mut self.actor_optimizer,
+            log_std: &mut self.log_std,
+            log_std_optimizer: &mut self.log_std_optimizer,
+            ws: &mut ws.actor,
+        };
+        let mut critic = CriticHalf {
+            config: &self.config,
+            net: &mut self.critic,
+            optimizer: &mut self.critic_optimizer,
+            ws: &mut ws.critic,
+        };
+        let (mut stats, value_loss) = std::thread::scope(|scope| {
+            let critic_thread = scope
+                .spawn(|| minibatches().fold(0.0, |sum, batch| sum + critic.step(samples, batch)));
+            let mut stats = PpoUpdateStats::default();
+            for batch in minibatches() {
+                let batch_stats = actor.step(samples, batch);
                 stats.policy_loss += batch_stats.policy_loss;
-                stats.value_loss += batch_stats.value_loss;
                 stats.entropy += batch_stats.entropy;
                 stats.approx_kl += batch_stats.approx_kl;
                 stats.clip_fraction += batch_stats.clip_fraction;
-                total_batches += 1;
-                start = end;
+                stats.gradient_steps += 1;
             }
-        }
-        self.update_ws = ws;
-        if total_batches > 0 {
-            let n = total_batches as f64;
-            stats.policy_loss /= n;
-            stats.value_loss /= n;
-            stats.entropy /= n;
-            stats.approx_kl /= n;
-            stats.clip_fraction /= n;
-        }
-        stats.gradient_steps = total_batches;
+            let value_loss = critic_thread
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            (stats, value_loss)
+        });
+        stats.value_loss = value_loss;
+        let n = stats.gradient_steps as f64;
+        stats.policy_loss /= n;
+        stats.value_loss /= n;
+        stats.entropy /= n;
+        stats.approx_kl /= n;
+        stats.clip_fraction /= n;
         stats
     }
 
@@ -661,150 +739,6 @@ impl PpoAgent {
         }
         stats.gradient_steps = total_batches;
         stats
-    }
-
-    /// One fused minibatch step over `samples[ws.indices[start..end]]`.
-    ///
-    /// Mirrors [`PpoAgent::update_minibatch_reference`] operation for
-    /// operation — every sum accumulates in the same order — so the two paths
-    /// stay bit-identical while this one reuses `ws` instead of allocating.
-    fn update_minibatch_fused(
-        &mut self,
-        ws: &mut UpdateWorkspace,
-        samples: &[ProcessedSample],
-        start: usize,
-        end: usize,
-    ) -> PpoUpdateStats {
-        let batch_size = end - start;
-        let inv_n = 1.0 / batch_size as f64;
-        let obs_dim = self.config.obs_dim;
-        let action_dim = self.config.action_dim;
-
-        // ---------------- Gather ----------------
-        ws.obs.resize(batch_size, obs_dim);
-        ws.actions.resize(batch_size, action_dim);
-        ws.old_log_probs.clear();
-        ws.advantages.clear();
-        ws.value_targets.clear();
-        for (r, &idx) in ws.indices[start..end].iter().enumerate() {
-            let s = &samples[idx];
-            ws.obs.row_mut(r).copy_from_slice(&s.observation);
-            ws.actions.row_mut(r).copy_from_slice(&s.action);
-            ws.old_log_probs.push(s.old_log_prob);
-            ws.advantages.push(s.advantage);
-            ws.value_targets.push(s.value_target);
-        }
-
-        // ---------------- Actor ----------------
-        self.actor
-            .forward_train_ws(&ws.obs, &mut ws.actor_ws)
-            .expect("actor forward failed");
-        let dist = ws
-            .dist
-            .get_or_insert_with(|| DiagGaussian::new(vec![0.0; action_dim], vec![0.0; action_dim]));
-        dist.set_log_std(&self.log_std);
-        let means = ws.actor_ws.output();
-        dist.log_prob_rows(means, &ws.actions, &mut ws.new_log_probs);
-        dist.grad_mean_rows(means, &ws.actions, &mut ws.grad_mean_rows);
-        dist.grad_log_std_rows(means, &ws.actions, &mut ws.grad_log_std_rows);
-        let entropy_each = dist.entropy();
-
-        ws.grad_mean.resize(batch_size, action_dim);
-        ws.grad_log_std.clear();
-        ws.grad_log_std.resize(action_dim, 0.0);
-        let mut policy_loss = 0.0;
-        let mut entropy_total = 0.0;
-        let mut approx_kl = 0.0;
-        let mut clipped = 0usize;
-        let eps = self.config.clip_epsilon;
-
-        for i in 0..batch_size {
-            let new_log_prob = ws.new_log_probs[i];
-            let ratio = (new_log_prob - ws.old_log_probs[i]).exp();
-            let advantage = ws.advantages[i];
-            let surr1 = ratio * advantage;
-            let clipped_ratio = ratio.clamp(1.0 - eps, 1.0 + eps);
-            let surr2 = clipped_ratio * advantage;
-            policy_loss += -surr1.min(surr2) * inv_n;
-            entropy_total += entropy_each * inv_n;
-            approx_kl += (ws.old_log_probs[i] - new_log_prob) * inv_n;
-            if (ratio - clipped_ratio).abs() > 1e-12 {
-                clipped += 1;
-            }
-
-            // d(-min(surr1, surr2))/d(log pi): -A * ratio when the unclipped
-            // branch is active, 0 otherwise (the clipped branch is constant in
-            // the parameters).
-            let dloss_dlogp = if surr1 <= surr2 {
-                -advantage * ratio
-            } else {
-                0.0
-            } * inv_n;
-            if dloss_dlogp != 0.0 {
-                for j in 0..action_dim {
-                    ws.grad_mean[(i, j)] = dloss_dlogp * ws.grad_mean_rows[(i, j)];
-                    ws.grad_log_std[j] += dloss_dlogp * ws.grad_log_std_rows[(i, j)];
-                }
-            } else {
-                ws.grad_mean.row_mut(i).fill(0.0);
-            }
-            // Entropy bonus: loss -= entropy_coef * H, dH/dlog_std_j = 1.
-            for g in ws.grad_log_std.iter_mut() {
-                *g -= self.config.entropy_coef * inv_n;
-            }
-        }
-
-        self.actor
-            .backward_ws(
-                &ws.obs,
-                &mut ws.actor_ws,
-                &ws.grad_mean,
-                &mut ws.actor_grads,
-            )
-            .expect("actor backward failed");
-        ws.actor_grads.clip_global_norm(self.config.max_grad_norm);
-        self.actor_optimizer.step(&mut self.actor, &ws.actor_grads);
-        self.log_std_optimizer
-            .step(&mut self.log_std, &ws.grad_log_std);
-        for ls in &mut self.log_std {
-            *ls = ls.max(self.config.min_log_std);
-        }
-
-        // ---------------- Critic ----------------
-        self.critic
-            .forward_train_ws(&ws.obs, &mut ws.critic_ws)
-            .expect("critic forward failed");
-        ws.grad_values.resize(batch_size, 1);
-        let mut value_loss = 0.0;
-        {
-            let values = ws.critic_ws.output();
-            for i in 0..batch_size {
-                let v = values[(i, 0)];
-                let err = v - ws.value_targets[i];
-                value_loss += err * err * inv_n;
-                ws.grad_values[(i, 0)] = self.config.value_loss_coef * 2.0 * err * inv_n;
-            }
-        }
-        self.critic
-            .backward_ws(
-                &ws.obs,
-                &mut ws.critic_ws,
-                &ws.grad_values,
-                &mut ws.critic_grads,
-            )
-            .expect("critic backward failed");
-        ws.critic_grads.clip_global_norm(self.config.max_grad_norm);
-        self.critic_optimizer
-            .step(&mut self.critic, &ws.critic_grads);
-
-        PpoUpdateStats {
-            policy_loss,
-            value_loss,
-            entropy: entropy_total,
-            approx_kl,
-            clip_fraction: clipped as f64 / batch_size as f64,
-            gradient_steps: 1,
-        }
     }
 
     fn update_minibatch_reference(&mut self, batch: &[&ProcessedSample]) -> PpoUpdateStats {
@@ -975,6 +909,143 @@ impl PpoAgent {
             history.push(mean_return);
         }
         history
+    }
+}
+
+impl ActorHalf<'_> {
+    /// One actor step over `samples[batch]`: the clipped surrogate with its
+    /// entropy bonus, then the actor and log-std optimizer steps. Returns
+    /// every statistic but the value loss.
+    ///
+    /// Mirrors the actor half of [`PpoAgent::update_minibatch_reference`]
+    /// operation for operation — every sum accumulates in the same order —
+    /// so the two paths stay bit-identical while this one reuses `ws`.
+    fn step(&mut self, samples: &[ProcessedSample], batch: &[usize]) -> PpoUpdateStats {
+        let ws = &mut *self.ws;
+        let batch_size = batch.len();
+        let inv_n = 1.0 / batch_size as f64;
+        let action_dim = self.config.action_dim;
+
+        ws.obs.resize(batch_size, self.config.obs_dim);
+        ws.actions.resize(batch_size, action_dim);
+        for (r, &idx) in batch.iter().enumerate() {
+            ws.obs.row_mut(r).copy_from_slice(&samples[idx].observation);
+            ws.actions.row_mut(r).copy_from_slice(&samples[idx].action);
+        }
+
+        self.net
+            .forward_train_ws(&ws.obs, &mut ws.net)
+            .expect("actor forward failed");
+        let dist = ws
+            .dist
+            .get_or_insert_with(|| DiagGaussian::new(vec![0.0; action_dim], vec![0.0; action_dim]));
+        dist.set_log_std(self.log_std);
+        let means = ws.net.output();
+        dist.log_prob_rows(means, &ws.actions, &mut ws.new_log_probs);
+        dist.grad_mean_rows(means, &ws.actions, &mut ws.grad_mean_rows);
+        dist.grad_log_std_rows(means, &ws.actions, &mut ws.grad_log_std_rows);
+        let entropy_each = dist.entropy();
+
+        ws.grad_mean.resize(batch_size, action_dim);
+        ws.grad_log_std.clear();
+        ws.grad_log_std.resize(action_dim, 0.0);
+        let mut policy_loss = 0.0;
+        let mut entropy_total = 0.0;
+        let mut approx_kl = 0.0;
+        let mut clipped = 0usize;
+        let eps = self.config.clip_epsilon;
+
+        for (i, &idx) in batch.iter().enumerate() {
+            let sample = &samples[idx];
+            let new_log_prob = ws.new_log_probs[i];
+            let ratio = (new_log_prob - sample.old_log_prob).exp();
+            let advantage = sample.advantage;
+            let surr1 = ratio * advantage;
+            let clipped_ratio = ratio.clamp(1.0 - eps, 1.0 + eps);
+            let surr2 = clipped_ratio * advantage;
+            policy_loss += -surr1.min(surr2) * inv_n;
+            entropy_total += entropy_each * inv_n;
+            approx_kl += (sample.old_log_prob - new_log_prob) * inv_n;
+            if (ratio - clipped_ratio).abs() > 1e-12 {
+                clipped += 1;
+            }
+
+            // d(-min(surr1, surr2))/d(log pi): -A * ratio when the unclipped
+            // branch is active, 0 otherwise (the clipped branch is constant in
+            // the parameters).
+            let dloss_dlogp = if surr1 <= surr2 {
+                -advantage * ratio
+            } else {
+                0.0
+            } * inv_n;
+            if dloss_dlogp != 0.0 {
+                for j in 0..action_dim {
+                    ws.grad_mean[(i, j)] = dloss_dlogp * ws.grad_mean_rows[(i, j)];
+                    ws.grad_log_std[j] += dloss_dlogp * ws.grad_log_std_rows[(i, j)];
+                }
+            } else {
+                ws.grad_mean.row_mut(i).fill(0.0);
+            }
+            // Entropy bonus: loss -= entropy_coef * H, dH/dlog_std_j = 1.
+            for g in ws.grad_log_std.iter_mut() {
+                *g -= self.config.entropy_coef * inv_n;
+            }
+        }
+
+        self.net
+            .backward_ws(&ws.obs, &mut ws.net, &ws.grad_mean, &mut ws.grads)
+            .expect("actor backward failed");
+        ws.grads.clip_global_norm(self.config.max_grad_norm);
+        self.optimizer.step(self.net, &ws.grads);
+        self.log_std_optimizer.step(self.log_std, &ws.grad_log_std);
+        for ls in self.log_std.iter_mut() {
+            *ls = ls.max(self.config.min_log_std);
+        }
+
+        PpoUpdateStats {
+            policy_loss,
+            value_loss: 0.0,
+            entropy: entropy_total,
+            approx_kl,
+            clip_fraction: clipped as f64 / batch_size as f64,
+            gradient_steps: 1,
+        }
+    }
+}
+
+impl CriticHalf<'_> {
+    /// One critic step over `samples[batch]`: the value loss, then the
+    /// critic optimizer step. Returns the minibatch's value loss.
+    ///
+    /// Mirrors the critic half of [`PpoAgent::update_minibatch_reference`]
+    /// operation for operation, so the two paths stay bit-identical.
+    fn step(&mut self, samples: &[ProcessedSample], batch: &[usize]) -> f64 {
+        let ws = &mut *self.ws;
+        let batch_size = batch.len();
+        let inv_n = 1.0 / batch_size as f64;
+
+        ws.obs.resize(batch_size, self.config.obs_dim);
+        for (r, &idx) in batch.iter().enumerate() {
+            ws.obs.row_mut(r).copy_from_slice(&samples[idx].observation);
+        }
+
+        self.net
+            .forward_train_ws(&ws.obs, &mut ws.net)
+            .expect("critic forward failed");
+        ws.grad_values.resize(batch_size, 1);
+        let mut value_loss = 0.0;
+        let values = ws.net.output();
+        for (i, &idx) in batch.iter().enumerate() {
+            let err = values[(i, 0)] - samples[idx].value_target;
+            value_loss += err * err * inv_n;
+            ws.grad_values[(i, 0)] = self.config.value_loss_coef * 2.0 * err * inv_n;
+        }
+        self.net
+            .backward_ws(&ws.obs, &mut ws.net, &ws.grad_values, &mut ws.grads)
+            .expect("critic backward failed");
+        ws.grads.clip_global_norm(self.config.max_grad_norm);
+        self.optimizer.step(self.net, &ws.grads);
+        value_loss
     }
 }
 
@@ -1205,6 +1276,66 @@ mod tests {
             );
         }
         assert_eq!(fused, reference);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match destination slice length")]
+    fn update_reraises_a_panic_from_the_actor_half() {
+        let mut env = Bandit {
+            target: 3.0,
+            space: ActionSpace::scalar(0.0, 10.0),
+        };
+        let mut agent = PpoAgent::new(PpoConfig::new(2, 1).with_seed(41), env.action_space());
+        let mut buffer = RolloutBuffer::new();
+        agent.collect_episodes(&mut env, 30, 1, &mut buffer);
+        let mut samples = buffer.process(0.95, 0.95, 0.0, true);
+        // Only the actor half reads actions: the critic half runs to the end
+        // on its thread, and the caller must still see the actor's panic.
+        samples[25].action.push(0.0);
+        let _ = agent.update(&samples);
+    }
+
+    /// `check()` rejects every value in `bad` written by `set`, naming `field`.
+    fn assert_check_rejects(field: &str, set: fn(&mut PpoConfig, f64), bad: &[f64]) {
+        for &value in bad {
+            let mut cfg = PpoConfig::new(2, 1);
+            set(&mut cfg, value);
+            match cfg.check() {
+                Err(msg) => assert!(msg.contains(field), "{field} = {value}: got {msg:?}"),
+                Ok(()) => panic!("{field} = {value} passed check()"),
+            }
+        }
+    }
+
+    const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn check_requires_a_positive_max_grad_norm() {
+        let bad = [-0.5, 0.0, f64::NAN, f64::NEG_INFINITY];
+        assert_check_rejects("max_grad_norm", |c, v| c.max_grad_norm = v, &bad);
+        let mut cfg = PpoConfig::new(2, 1);
+        cfg.max_grad_norm = f64::INFINITY;
+        assert_eq!(cfg.check(), Ok(()), "+inf turns clipping off");
+    }
+
+    #[test]
+    fn check_requires_a_finite_value_loss_coef() {
+        assert_check_rejects("value_loss_coef", |c, v| c.value_loss_coef = v, &NON_FINITE);
+    }
+
+    #[test]
+    fn check_requires_a_finite_entropy_coef() {
+        assert_check_rejects("entropy_coef", |c, v| c.entropy_coef = v, &NON_FINITE);
+    }
+
+    #[test]
+    fn check_requires_a_finite_initial_log_std() {
+        assert_check_rejects("initial_log_std", |c, v| c.initial_log_std = v, &NON_FINITE);
+    }
+
+    #[test]
+    fn check_requires_a_finite_min_log_std() {
+        assert_check_rejects("min_log_std", |c, v| c.min_log_std = v, &NON_FINITE);
     }
 
     #[test]

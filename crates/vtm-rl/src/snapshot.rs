@@ -586,6 +586,23 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_with_a_negative_grad_norm_fails_to_load() {
+        // Clipping to a negative norm would scale every gradient step uphill.
+        let mut snapshot = trained_agent(29).snapshot();
+        snapshot.config.max_grad_norm = -0.5;
+        let path = temp_path("negative_grad_norm");
+        snapshot.save_to(&path).unwrap();
+        let loaded = PolicySnapshot::load_from(&path);
+        std::fs::remove_file(&path).unwrap();
+        match loaded {
+            Err(SnapshotError::Incompatible(msg)) => {
+                assert!(msg.contains("max_grad_norm"), "got: {msg}")
+            }
+            other => panic!("expected Incompatible, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn inconsistent_snapshots_fail_validation() {
         let a = trained_agent(19);
         let b = PpoAgent::new(
