@@ -27,12 +27,11 @@
 
 use vtm_bench::chaos::{run_chaos, ChaosOptions, PLANS};
 use vtm_bench::experiments::{find, manifest, ExperimentCtx};
-use vtm_bench::fabric_bench::{run_fabric_bench, FabricBenchOptions};
-use vtm_bench::gateway_bench::{run_gateway_bench, GatewayBenchOptions};
 use vtm_bench::journal_cli::{
     run_journal_demo, run_replay, JournalDemoOptions, ReplayCliOptions, SnapshotChoice,
 };
 use vtm_bench::lifecycle::{describe_checkpoint, train_to_checkpoint, TrainOptions};
+use vtm_bench::load_bench::{run_length, run_load_bench, LoadBench, LoadRun};
 use vtm_bench::obs_cli::{
     run_metrics_dump, run_slo_check, MetricsDumpOptions, SloOptions, SloStatus,
 };
@@ -264,129 +263,38 @@ fn main_serve_bench(args: &[String]) {
     }
 }
 
-fn main_gateway_bench(args: &[String]) {
-    let mut opts = GatewayBenchOptions::default();
+/// `gateway-bench` and `fabric-bench`: one flag parser and one driver; the
+/// subcommand picks the defaults, the compared shapes and the output file.
+fn main_load_bench(bench: LoadBench, args: &[String]) {
+    let mut opts = bench.options();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--env" => opts.env = flag_value(args, &mut i, "--env").to_string(),
-            "--checkpoint" => {
+        match (args[i].as_str(), bench) {
+            ("--env", _) => opts.env = flag_value(args, &mut i, "--env").to_string(),
+            ("--checkpoint", _) => {
                 opts.checkpoint = Some(flag_value(args, &mut i, "--checkpoint").into())
             }
-            "--duration-s" => {
+            ("--duration-s", _) => {
                 let value = flag_value(args, &mut i, "--duration-s");
                 opts.duration_s = match value.parse::<f64>() {
-                    Ok(s) if s > 0.0 => s,
+                    Ok(s) if s > 0.0 && run_length(s).is_ok() => s,
                     _ => {
-                        eprintln!("error: --duration-s needs a positive number, got `{value}`");
+                        eprintln!(
+                            "error: --duration-s needs a positive, finite number of seconds, \
+                             got `{value}`"
+                        );
                         usage();
                     }
                 };
             }
-            "--sessions" => {
+            ("--sessions", _) => {
                 opts.sessions =
                     parse_count(flag_value(args, &mut i, "--sessions"), "--sessions").max(1)
             }
-            "--ingress" => {
-                opts.ingress = parse_count(flag_value(args, &mut i, "--ingress"), "--ingress")
-            }
-            "--executors" => {
-                opts.executors = parse_count(flag_value(args, &mut i, "--executors"), "--executors")
-            }
-            "--max-batch" => {
-                opts.max_batch =
-                    parse_count(flag_value(args, &mut i, "--max-batch"), "--max-batch").max(1)
-            }
-            "--max-delay-us" => {
-                opts.max_delay_us =
-                    parse_count(flag_value(args, &mut i, "--max-delay-us"), "--max-delay-us") as u64
-            }
-            "--queue-capacity" => {
-                opts.queue_capacity = parse_count(
-                    flag_value(args, &mut i, "--queue-capacity"),
-                    "--queue-capacity",
-                )
-                .max(1)
-            }
-            "--no-open-loop" => opts.open_loop_factors.clear(),
-            "--precision" => {
-                opts.precision = parse_precision(flag_value(args, &mut i, "--precision"))
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown gateway-bench argument `{other}`");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    match run_gateway_bench(&opts) {
-        Ok(result) => {
-            println!(
-                "gateway-bench `{}`: baseline (1 ingress/1 executor) {:.0} quotes/s, scaled \
-                 {:.0} quotes/s ({:.2}x)",
-                result.env, result.baseline_qps, result.scaled_qps, result.speedup
-            );
-            if let (Some(qps), Some(speedup)) = (result.f32_scaled_qps, result.f32_speedup) {
-                println!("  f32 scaled {qps:.0} quotes/s ({speedup:.2}x vs f64 scaled)");
-            }
-            for run in &result.runs {
-                let offered = run
-                    .offered_qps
-                    .map_or("closed loop".to_string(), |q| format!("offered {q:.0}/s"));
-                println!(
-                    "  {:<16} {offered:>16} -> {:>8.0} quotes/s, p50 {} us, p99 {} us, \
-                     mean batch {:.1}, rejected {}",
-                    run.label,
-                    run.achieved_qps,
-                    run.telemetry.latency_p50_us,
-                    run.telemetry.latency_p99_us,
-                    run.telemetry.mean_batch_size,
-                    run.telemetry.rejected
-                );
-            }
-            match result.save() {
-                Ok(path) => println!("(saved to {})", path.display()),
-                Err(err) => {
-                    eprintln!("error: could not write BENCH_gateway.json: {err}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn main_fabric_bench(args: &[String]) {
-    let mut opts = FabricBenchOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--env" => opts.env = flag_value(args, &mut i, "--env").to_string(),
-            "--checkpoint" => {
-                opts.checkpoint = Some(flag_value(args, &mut i, "--checkpoint").into())
-            }
-            "--duration-s" => {
-                let value = flag_value(args, &mut i, "--duration-s");
-                opts.duration_s = match value.parse::<f64>() {
-                    Ok(s) if s > 0.0 => s,
-                    _ => {
-                        eprintln!("error: --duration-s needs a positive number, got `{value}`");
-                        usage();
-                    }
-                };
-            }
-            "--sessions" => {
-                opts.sessions =
-                    parse_count(flag_value(args, &mut i, "--sessions"), "--sessions").max(1)
-            }
-            "--shards" => {
+            ("--shards", LoadBench::Fabric) => {
                 opts.shards = parse_count(flag_value(args, &mut i, "--shards"), "--shards")
             }
-            "--arms" => {
+            ("--arms", LoadBench::Fabric) => {
                 let value = flag_value(args, &mut i, "--arms");
                 opts.arms = match vtm_fabric::parse_arms(value) {
                     Ok(arms) => arms,
@@ -396,86 +304,107 @@ fn main_fabric_bench(args: &[String]) {
                     }
                 };
             }
-            "--ingress" => {
+            ("--ingress", _) => {
                 opts.ingress = parse_count(flag_value(args, &mut i, "--ingress"), "--ingress")
             }
-            "--executors" => {
+            ("--executors", _) => {
                 opts.executors = parse_count(flag_value(args, &mut i, "--executors"), "--executors")
             }
-            "--max-batch" => {
+            ("--max-batch", _) => {
                 opts.max_batch =
                     parse_count(flag_value(args, &mut i, "--max-batch"), "--max-batch").max(1)
             }
-            "--max-delay-us" => {
+            ("--max-delay-us", _) => {
                 opts.max_delay_us =
                     parse_count(flag_value(args, &mut i, "--max-delay-us"), "--max-delay-us") as u64
             }
-            "--queue-capacity" => {
+            ("--queue-capacity", _) => {
                 opts.queue_capacity = parse_count(
                     flag_value(args, &mut i, "--queue-capacity"),
                     "--queue-capacity",
                 )
                 .max(1)
             }
-            "--no-open-loop" => opts.open_loop_factors.clear(),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown fabric-bench argument `{other}`");
+            ("--no-open-loop", _) => opts.open_loop_factors.clear(),
+            ("--precision", LoadBench::Gateway) => {
+                opts.precision = parse_precision(flag_value(args, &mut i, "--precision"))
+            }
+            ("--help" | "-h", _) => usage(),
+            (other, _) => {
+                eprintln!("error: unknown {}-bench argument `{other}`", bench.name());
                 usage();
             }
         }
         i += 1;
     }
-    match run_fabric_bench(&opts) {
-        Ok(result) => {
-            let arms: Vec<String> = result
-                .arms
-                .iter()
-                .map(|a| format!("{}={}", a.name, a.percent))
-                .collect();
-            println!(
-                "fabric-bench `{}` [{}]: baseline (1 shard) {:.0} quotes/s, {} shards \
-                 {:.0} quotes/s ({:.2}x)",
-                result.env,
-                arms.join(","),
-                result.baseline_qps,
-                result.shards,
-                result.scaled_qps,
-                result.speedup
-            );
-            for run in &result.runs {
-                let offered = run
-                    .offered_qps
-                    .map_or("closed loop".to_string(), |q| format!("offered {q:.0}/s"));
-                println!(
-                    "  {:<18} {offered:>16} -> {:>8.0} quotes/s",
-                    run.label, run.achieved_qps
-                );
-                for arm in &run.fabric.arms {
-                    if arm.quotes > 0 {
-                        println!(
-                            "    arm {:<10} {:>8} quotes, p50 {} us, p95 {} us, p99 {} us, \
-                             revenue {:.1}",
-                            arm.name,
-                            arm.quotes,
-                            arm.latency_p50_us,
-                            arm.latency_p95_us,
-                            arm.latency_p99_us,
-                            arm.revenue
-                        );
-                    }
-                }
-            }
-            match result.save() {
-                Ok(path) => println!("(saved to {})", path.display()),
-                Err(err) => {
-                    eprintln!("error: could not write BENCH_fabric.json: {err}");
-                    std::process::exit(1);
-                }
-            }
-        }
+    let result = match run_load_bench(bench, &opts) {
+        Ok(result) => result,
         Err(err) => {
             eprintln!("error: {err}");
+            std::process::exit(1);
+        }
+    };
+    let arms: Vec<String> = result
+        .arms
+        .iter()
+        .map(|a| format!("{}={}", a.name, a.percent))
+        .collect();
+    let shape = |run: &LoadRun| {
+        format!(
+            "{} (shards {}, executors {}, ingress {})",
+            run.label, run.shards, run.executors, run.ingress
+        )
+    };
+    println!(
+        "{}-bench `{}` [{}]: {} {:.0} quotes/s, {} {:.0} quotes/s ({:.2}x)",
+        bench.name(),
+        result.env,
+        arms.join(","),
+        shape(&result.runs[0]),
+        result.baseline_qps,
+        shape(&result.runs[1]),
+        result.scaled_qps,
+        result.speedup
+    );
+    if let (Some(qps), Some(speedup)) = (result.f32_scaled_qps, result.f32_speedup) {
+        println!("  f32 scaled {qps:.0} quotes/s ({speedup:.2}x vs f64 scaled)");
+    }
+    for run in &result.runs {
+        let offered = run
+            .offered_qps
+            .map_or("closed loop".to_string(), |q| format!("offered {q:.0}/s"));
+        println!(
+            "  {:<18} {offered:>16} -> {:>8.0} quotes/s",
+            run.label, run.achieved_qps
+        );
+        for gateway in &run.fabric.gateways {
+            let t = &gateway.telemetry;
+            println!(
+                "    shard {}/{:<4} p50 {} us, p99 {} us, mean batch {:.1}, rejected {}",
+                gateway.arm,
+                gateway.shard,
+                t.latency_p50_us,
+                t.latency_p99_us,
+                t.mean_batch_size,
+                t.rejected
+            );
+        }
+        for arm in run.fabric.arms.iter().filter(|arm| arm.quotes > 0) {
+            println!(
+                "    arm {:<10} {:>8} quotes, p50 {} us, p95 {} us, p99 {} us, revenue {:.1}",
+                arm.name,
+                arm.quotes,
+                arm.latency_p50_us,
+                arm.latency_p95_us,
+                arm.latency_p99_us,
+                arm.revenue
+            );
+        }
+    }
+    match result.save() {
+        Ok(path) => println!("(saved to {})", path.display()),
+        Err(err) => {
+            eprintln!("error: could not write BENCH_{}.json: {err}", bench.name());
             std::process::exit(1);
         }
     }
@@ -818,8 +747,8 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("train") => return main_train(&args[1..]),
         Some("serve-bench") => return main_serve_bench(&args[1..]),
-        Some("gateway-bench") => return main_gateway_bench(&args[1..]),
-        Some("fabric-bench") => return main_fabric_bench(&args[1..]),
+        Some("gateway-bench") => return main_load_bench(LoadBench::Gateway, &args[1..]),
+        Some("fabric-bench") => return main_load_bench(LoadBench::Fabric, &args[1..]),
         Some("journal-demo") => return main_journal_demo(&args[1..]),
         Some("replay") => return main_replay(&args[1..]),
         Some("chaos") => return main_chaos(&args[1..]),

@@ -13,12 +13,12 @@
 //! `experiments train` ([`lifecycle`]) produces versioned policy checkpoints
 //! and `experiments serve-bench` ([`serve_bench`]) measures the batched
 //! serving layer's quote throughput against the per-request baseline;
-//! `experiments gateway-bench` ([`gateway_bench`]) drives the concurrent
-//! online gateway (`vtm-gateway`) with closed- and open-loop load and
-//! records latency percentiles, batch-size histograms and rejects;
-//! `experiments fabric-bench` ([`fabric_bench`]) scales the same load
-//! across a sharded A/B fabric (`vtm-fabric`) and reports per-shard and
-//! per-arm percentiles plus the sharding speedup;
+//! `experiments gateway-bench` and `experiments fabric-bench` share one
+//! closed- and open-loop load driver over the sharded A/B fabric
+//! (`vtm-fabric`, [`load_bench`]) and record per-shard gateway telemetry
+//! (latency percentiles, batch-size histograms, rejects) plus per-arm
+//! percentiles; `gateway-bench` compares executor and ingress concurrency
+//! inside one shard, `fabric-bench` compares shard counts;
 //! `experiments journal-demo` / `experiments replay` ([`journal_cli`])
 //! record a journaled gateway run and reconstruct its exact service state
 //! from the audit journal (optionally resuming from a snapshot);
@@ -34,10 +34,9 @@
 
 pub mod chaos;
 pub mod experiments;
-pub mod fabric_bench;
-pub mod gateway_bench;
 pub mod journal_cli;
 pub mod lifecycle;
+pub mod load_bench;
 pub mod obs_cli;
 pub mod report;
 pub mod serve_bench;
@@ -129,8 +128,9 @@ impl Environment for FixedHorizonEnv {
     }
 }
 
-/// The PPO agent configuration used by the rollout benchmarks: 12-dim
-/// observations, scalar price action, fixed seed 7.
+/// The PPO agent configuration used by the rollout benchmarks and the
+/// bare-gateway overhead acceptances ([`load_bench::bare_gateway_qps`]):
+/// 12-dim observations, scalar price action, fixed seed 7.
 pub fn rollout_bench_agent() -> PpoAgent {
     PpoAgent::new(
         PpoConfig::new(12, 1).with_seed(7),

@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use vtm_core::registry::{EnvBuildOptions, EnvRegistry};
+use vtm_obs::median;
 use vtm_rl::env::Environment;
 use vtm_rl::ppo::PpoAgent;
 use vtm_rl::snapshot::PolicySnapshot;
@@ -20,7 +21,7 @@ use vtm_rl::trainer::Trainer;
 use vtm_serve::{Precision, PricingService, QuoteRequest, ServiceConfig};
 
 use crate::results_dir;
-use crate::timing::{available_cores, median};
+use crate::timing::available_cores;
 
 /// Which precision modes one serve-bench run measures.
 ///
@@ -204,7 +205,8 @@ fn request_stream(opts: &ServeBenchOptions, width: usize) -> Vec<Vec<QuoteReques
 
 /// Resolves a serving policy snapshot: load the checkpoint when given,
 /// otherwise train a small policy on the named preset right here (shared by
-/// `serve-bench` and `gateway-bench`).
+/// `serve-bench` and the load driver behind `gateway-bench` and
+/// `fabric-bench`).
 pub(crate) fn resolve_snapshot(
     env_name: &str,
     checkpoint: Option<&Path>,

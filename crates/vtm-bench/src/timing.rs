@@ -1,17 +1,6 @@
-//! Shared wall-clock measurement helpers: medians, percentiles and core
-//! detection, used by the serve/gateway load generators and the `--ignored`
-//! multi-core acceptance tests.
-//!
-//! The sample math itself now lives in `vtm-obs` (the single home of the
-//! workspace's percentile/bucket helpers); this module re-exports it under
-//! the historical bench names and keeps the process-local core detection.
-
-/// Sorts the samples in place and returns the median (upper middle for even
-/// counts) — re-exported from `vtm-obs`, the shared home of sample math.
-pub use vtm_obs::median;
-/// Nearest-rank percentile of an already-sorted slice — re-exported from
-/// `vtm-obs` (named `percentile_sorted` there).
-pub use vtm_obs::percentile_sorted as percentile;
+//! Process-local core detection for the load generators and the `--ignored`
+//! multi-core acceptance tests. The sample math (medians, percentiles) lives
+//! in `vtm-obs`.
 
 /// Logical cores available to this process (1 when detection fails) — the
 /// gate every multi-core acceptance test keys its ≥ 4-core requirement on.
@@ -22,25 +11,6 @@ pub fn available_cores() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The re-exports preserve the historical bench semantics (upper-middle
-    /// median, nearest-rank percentile) — pinned here so a vtm-obs change
-    /// cannot silently shift benchmark reporting.
-    #[test]
-    fn median_sorts_and_picks_upper_middle() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
-        assert_eq!(median(&mut [5.0]), 5.0);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&sorted, 0.5), 5.0);
-        assert_eq!(percentile(&sorted, 0.95), 10.0);
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        assert_eq!(percentile(&sorted, 1.0), 10.0);
-    }
 
     #[test]
     fn cores_detects_at_least_one() {

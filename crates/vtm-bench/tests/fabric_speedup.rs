@@ -8,7 +8,7 @@
 //! `cargo test -p vtm-bench --release -- --ignored --nocapture`.
 //! The consistency smoke always runs.
 
-use vtm_bench::fabric_bench::{run_fabric_bench, FabricBenchOptions};
+use vtm_bench::load_bench::{run_load_bench, LoadBench, LoadBenchOptions};
 use vtm_bench::timing::available_cores;
 
 /// The fabric load generator must run end-to-end with balanced telemetry
@@ -16,15 +16,18 @@ use vtm_bench::timing::available_cores;
 /// a timing assertion).
 #[test]
 fn fabric_bench_smoke_has_balanced_books() {
-    let result = run_fabric_bench(&FabricBenchOptions {
-        duration_s: 0.05,
-        sessions: 16,
-        stream_rounds: 4,
-        shards: 2,
-        ingress: 2,
-        open_loop_factors: vec![2.0],
-        ..FabricBenchOptions::default()
-    })
+    let result = run_load_bench(
+        LoadBench::Fabric,
+        &LoadBenchOptions {
+            duration_s: 0.05,
+            sessions: 16,
+            stream_rounds: 4,
+            shards: 2,
+            ingress: 2,
+            open_loop_factors: vec![2.0],
+            ..LoadBench::Fabric.options()
+        },
+    )
     .expect("fabric bench must run");
     assert!(result.baseline_qps > 0.0);
     assert!(result.scaled_qps > 0.0);
@@ -60,18 +63,21 @@ fn fabric_bench_smoke_has_balanced_books() {
 fn two_shard_fabric_is_at_least_1_7x_single_shard_throughput() {
     let cores = available_cores();
     assert!(cores >= 4, "speedup target is defined for 4+-core machines");
-    let result = run_fabric_bench(&FabricBenchOptions {
-        duration_s: 2.0,
-        sessions: 256,
-        stream_rounds: 16,
-        shards: 2,
-        ingress: 0, // one per core
-        executors: 1,
-        max_batch: 64,
-        max_delay_us: 500,
-        open_loop_factors: Vec::new(), // closed-loop comparison only
-        ..FabricBenchOptions::default()
-    })
+    let result = run_load_bench(
+        LoadBench::Fabric,
+        &LoadBenchOptions {
+            duration_s: 2.0,
+            sessions: 256,
+            stream_rounds: 16,
+            shards: 2,
+            ingress: 0, // one per core
+            executors: 1,
+            max_batch: 64,
+            max_delay_us: 500,
+            open_loop_factors: Vec::new(), // closed-loop comparison only
+            ..LoadBench::Fabric.options()
+        },
+    )
     .expect("fabric bench must run");
     println!(
         "1 shard {:.0} quotes/s vs 2 shards {:.0} quotes/s ({:.2}x on {cores} cores)",

@@ -8,7 +8,9 @@
 //! `cargo test -p vtm-bench --release -- --ignored --nocapture`.
 //! The consistency smoke always runs.
 
-use vtm_bench::gateway_bench::{run_gateway_bench, GatewayBenchOptions};
+use std::process::Command;
+
+use vtm_bench::load_bench::{run_load_bench, LoadBench, LoadBenchOptions};
 use vtm_bench::timing::available_cores;
 
 /// The load generator must run end-to-end with balanced telemetry books on
@@ -16,23 +18,42 @@ use vtm_bench::timing::available_cores;
 /// assertion).
 #[test]
 fn gateway_bench_smoke_has_balanced_books() {
-    let result = run_gateway_bench(&GatewayBenchOptions {
-        duration_s: 0.05,
-        sessions: 8,
-        stream_rounds: 4,
-        ingress: 2,
-        executors: 2,
-        open_loop_factors: vec![2.0],
-        ..GatewayBenchOptions::default()
-    })
+    let result = run_load_bench(
+        LoadBench::Gateway,
+        &LoadBenchOptions {
+            duration_s: 0.05,
+            sessions: 8,
+            stream_rounds: 4,
+            ingress: 2,
+            executors: 2,
+            open_loop_factors: vec![2.0],
+            ..LoadBench::Gateway.options()
+        },
+    )
     .expect("gateway bench must run");
     assert!(result.baseline_qps > 0.0);
     assert!(result.scaled_qps > 0.0);
     for run in &result.runs {
-        let t = &run.telemetry;
+        let t = &run.fabric.gateways[0].telemetry;
         assert_eq!(t.submitted, t.completed + t.failed);
         assert_eq!(t.failed, 0);
         assert_eq!(t.queue_depth, 0, "shutdown must drain every request");
+    }
+}
+
+/// A `--duration-s` no run length can hold is a usage error (exit 2) for
+/// both load benches, caught before any policy is trained.
+#[test]
+fn unusable_durations_are_usage_errors() {
+    for bench in ["gateway-bench", "fabric-bench"] {
+        for duration in ["inf", "1e300", "1e19", "0", "-1", "NaN"] {
+            let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
+                .args([bench, "--duration-s", duration])
+                .output()
+                .expect("experiments binary runs")
+                .status;
+            assert_eq!(status.code(), Some(2), "{bench} --duration-s {duration}");
+        }
     }
 }
 
@@ -45,17 +66,20 @@ fn gateway_bench_smoke_has_balanced_books() {
 fn concurrent_gateway_is_at_least_2x_single_lane_throughput() {
     let cores = available_cores();
     assert!(cores >= 4, "speedup target is defined for 4+-core machines");
-    let result = run_gateway_bench(&GatewayBenchOptions {
-        duration_s: 2.0,
-        sessions: 256,
-        stream_rounds: 16,
-        ingress: 0,   // one per core
-        executors: 0, // one per core
-        max_batch: 64,
-        max_delay_us: 500,
-        open_loop_factors: Vec::new(), // closed-loop comparison only
-        ..GatewayBenchOptions::default()
-    })
+    let result = run_load_bench(
+        LoadBench::Gateway,
+        &LoadBenchOptions {
+            duration_s: 2.0,
+            sessions: 256,
+            stream_rounds: 16,
+            ingress: 0,   // one per core
+            executors: 0, // one per core
+            max_batch: 64,
+            max_delay_us: 500,
+            open_loop_factors: Vec::new(), // closed-loop comparison only
+            ..LoadBench::Gateway.options()
+        },
+    )
     .expect("gateway bench must run");
     println!(
         "baseline {:.0} quotes/s vs scaled {:.0} quotes/s ({:.2}x on {cores} cores)",

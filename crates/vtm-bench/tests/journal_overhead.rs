@@ -9,84 +9,18 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use vtm_gateway::{Gateway, GatewayConfig, GatewayError};
+use vtm_bench::load_bench::bare_gateway_qps;
+use vtm_gateway::GatewayConfig;
 use vtm_journal::{find_snapshots, JournalOptions};
-use vtm_rl::env::ActionSpace;
-use vtm_rl::ppo::{PpoAgent, PpoConfig};
-use vtm_rl::snapshot::PolicySnapshot;
-use vtm_serve::{PricingService, QuoteRequest, ServiceConfig};
-
-const HISTORY: usize = 4;
-const FEATURES: usize = 3;
-const SESSIONS: usize = 64;
-const INGRESS: usize = 4;
-
-fn policy() -> PolicySnapshot {
-    PpoAgent::new(
-        PpoConfig::new(HISTORY * FEATURES, 1).with_seed(11),
-        ActionSpace::scalar(5.0, 50.0),
-    )
-    .snapshot()
-}
-
-fn fresh_service(snap: &PolicySnapshot) -> Arc<PricingService> {
-    Arc::new(PricingService::from_snapshot(snap, ServiceConfig::new(HISTORY, FEATURES)).unwrap())
-}
-
-/// Closed loop: `INGRESS` threads each drive their own session slice,
-/// submit-and-wait until the deadline. Returns completed quotes per second.
-fn closed_loop_qps(
-    service: &Arc<PricingService>,
-    config: GatewayConfig,
-    duration: Duration,
-) -> f64 {
-    let gateway = Arc::new(Gateway::start(Arc::clone(service), config));
-    let start = Instant::now();
-    let deadline = start + duration;
-    let completed: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..INGRESS)
-            .map(|t| {
-                let gateway = Arc::clone(&gateway);
-                scope.spawn(move || {
-                    let mut done = 0u64;
-                    'run: for round in 0u64.. {
-                        for s in (t..SESSIONS).step_by(INGRESS) {
-                            if Instant::now() >= deadline {
-                                break 'run;
-                            }
-                            let features = (0..FEATURES)
-                                .map(|f| ((round as usize * 31 + s * 7 + f) % 97) as f64 / 97.0)
-                                .collect();
-                            match gateway.quote(QuoteRequest::new(s as u64, features)) {
-                                Ok(_) => done += 1,
-                                Err(GatewayError::Overloaded { .. }) => {
-                                    std::thread::yield_now();
-                                }
-                                Err(err) => panic!("gateway failed: {err}"),
-                            }
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    });
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let stats = Arc::into_inner(gateway).unwrap().shutdown();
-    assert_eq!(stats.failed, 0);
-    completed as f64 / elapsed
-}
+use vtm_obs::median;
 
 /// Paired, interleaved timing: plain and journaling runs alternate so CPU
 /// frequency drift hits both arms equally; the medians are compared.
 #[test]
 #[ignore = "timed acceptance benchmark; run with --ignored on quiet multi-core machines"]
 fn journaling_overhead_stays_under_ten_percent() {
-    let snap = policy();
     let journal: PathBuf =
         std::env::temp_dir().join(format!("vtm_overhead_{}.vtmj", std::process::id()));
     let duration = Duration::from_millis(600);
@@ -95,38 +29,30 @@ fn journaling_overhead_stays_under_ten_percent() {
         .with_max_batch(16)
         .with_max_delay(Duration::from_micros(200))
         .with_queue_capacity(4096);
+    // Buffered appends (flush every 32) — the production cadence; the
+    // journal is recreated from scratch each run.
+    let journaled_config = base_config
+        .clone()
+        .with_journal(JournalOptions::new(&journal).with_flush_every(32));
+    let qps = |config: &GatewayConfig| bare_gateway_qps(config.clone(), duration).unwrap();
 
     // Warm-up pass (page cache, thread pools, branch predictors).
-    closed_loop_qps(&fresh_service(&snap), base_config.clone(), duration);
+    qps(&base_config);
 
     const REPEATS: usize = 5;
     let mut plain = Vec::with_capacity(REPEATS);
     let mut journaled = Vec::with_capacity(REPEATS);
     for _ in 0..REPEATS {
-        plain.push(closed_loop_qps(
-            &fresh_service(&snap),
-            base_config.clone(),
-            duration,
-        ));
-        // Buffered appends (flush every 32) — the production cadence; the
-        // journal is recreated from scratch each run.
-        journaled.push(closed_loop_qps(
-            &fresh_service(&snap),
-            base_config
-                .clone()
-                .with_journal(JournalOptions::new(&journal).with_flush_every(32)),
-            duration,
-        ));
+        plain.push(qps(&base_config));
+        journaled.push(qps(&journaled_config));
     }
     for (_, path) in find_snapshots(&journal) {
         let _ = std::fs::remove_file(path);
     }
     let _ = std::fs::remove_file(&journal);
 
-    plain.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    journaled.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let plain_qps = plain[REPEATS / 2];
-    let journaled_qps = journaled[REPEATS / 2];
+    let plain_qps = median(&mut plain);
+    let journaled_qps = median(&mut journaled);
     let overhead = 1.0 - journaled_qps / plain_qps;
     println!(
         "closed-loop gateway: plain {plain_qps:.0} quotes/s, journaled {journaled_qps:.0} \

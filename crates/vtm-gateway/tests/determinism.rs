@@ -121,7 +121,7 @@ fn gateway_outcome(
 /// gateway replay of a request sequence is indistinguishable from direct
 /// `PricingService::quote_batch` calls — not just quote-for-quote, but in
 /// the *complete* service state: session histories, LRU/TTL bookkeeping,
-/// eviction and expiry counters — regardless of how the scheduler slices
+/// eviction and expiry counters — regardless of how the executor slices
 /// the stream into micro-batches.
 #[test]
 fn single_executor_greedy_gateway_matches_quote_batch_digest() {
