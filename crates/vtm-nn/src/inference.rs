@@ -82,7 +82,9 @@ impl InferenceLayer {
     /// Four batch rows are processed per pass so each weight row is
     /// streamed once per row *block*; the inner loop is a unit-stride
     /// multiply-accumulate over `fan_out` f32 lanes, the shape
-    /// autovectorizers map onto 8-wide registers. Every output element
+    /// autovectorizers map onto SIMD registers (4 f32 lanes on the default
+    /// SSE2 x86-64 target). The activation is one slice pass at the end
+    /// ([`Activation::apply_slice_f32`]). Every output element
     /// starts from the bias and accumulates its `fan_in` terms in
     /// increasing order — identical per-element operation order for every
     /// batch size, which is what makes f32 serving batch-slicing
@@ -149,9 +151,7 @@ impl InferenceLayer {
             }
             i += 1;
         }
-        for v in out.iter_mut() {
-            *v = self.activation.apply_scalar_f32(*v);
-        }
+        self.activation.apply_slice_f32(out);
         Ok(())
     }
 }

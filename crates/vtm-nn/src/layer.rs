@@ -155,14 +155,18 @@ impl Dense {
         self.weights.len() + self.bias.len()
     }
 
-    /// Forward pass without caching (inference).
+    /// Forward pass without caching (inference): the kernel of
+    /// [`Dense::affine_into`] without keeping the pre-activations, so the
+    /// output is bit-identical to [`Dense::forward_train`]'s.
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] when `input.cols() != fan_in`.
     pub fn forward(&self, input: &Matrix) -> Result<Matrix, ShapeError> {
-        let z = input.matmul(&self.weights)?.add_row_broadcast(&self.bias)?;
-        Ok(self.activation.apply(&z))
+        let mut out = Matrix::zeros(0, 0);
+        self.affine(input, &mut out)?;
+        self.activation.apply_slice(out.as_mut_slice());
+        Ok(out)
     }
 
     /// Forward pass that also returns the cache required by [`Dense::backward`].
@@ -184,12 +188,12 @@ impl Dense {
 
     /// Fused training forward kernel writing into caller-owned buffers.
     ///
-    /// Computes `pre = input · W + b` and `out = activation(pre)` in one pass
-    /// per row, without allocating: `pre` and `out` are resized in place
-    /// (allocation-free once they reach steady-state capacity) and the input
-    /// is *not* cloned — the caller keeps it alive for the backward pass
-    /// instead, replacing the owning [`DenseCache`]. Results are bit-identical
-    /// to [`Dense::forward_train`].
+    /// Computes `pre = input · W + b` and `out = activation(pre)` without
+    /// allocating: `pre` and `out` are resized in place (allocation-free
+    /// once they reach steady-state capacity) and the input is *not*
+    /// cloned — the caller keeps it alive for the backward pass instead,
+    /// replacing the owning [`DenseCache`]. Results are bit-identical to
+    /// [`Dense::forward_train`].
     ///
     /// # Errors
     ///
@@ -200,32 +204,33 @@ impl Dense {
         pre: &mut Matrix,
         out: &mut Matrix,
     ) -> Result<(), ShapeError> {
-        let (batch, fan_in) = input.shape();
-        if fan_in != self.fan_in() {
+        self.affine(input, pre)?;
+        out.resize(pre.rows(), pre.cols());
+        out.as_mut_slice().copy_from_slice(pre.as_slice());
+        self.activation.apply_slice(out.as_mut_slice());
+        Ok(())
+    }
+
+    /// `z = input · W + b` into `z`, accumulated in the same k order as
+    /// `matmul` and with the bias added last, so bit-identical to `matmul`
+    /// followed by `add_row_broadcast`.
+    fn affine(&self, input: &Matrix, z: &mut Matrix) -> Result<(), ShapeError> {
+        if input.cols() != self.fan_in() {
             return Err(ShapeError {
                 op: "affine_into",
                 lhs: input.shape(),
                 rhs: self.weights.shape(),
             });
         }
-        let fan_out = self.fan_out();
-        // z = x · W, accumulated in the same k order as `matmul`, then z += b
-        // and a = f(z) in one epilogue pass per row — bit-identical to
-        // `matmul` + `add_row_broadcast` + `Activation::apply`.
         input
-            .matmul_into(&self.weights, pre)
+            .matmul_into(&self.weights, z)
             .expect("shape already checked");
-        out.resize(batch, fan_out);
+        let fan_out = self.fan_out();
         let bias = self.bias.as_slice();
-        let act = self.activation;
-        let pre_data = pre.as_mut_slice();
-        let out_data = out.as_mut_slice();
-        for i in 0..batch {
-            let pre_row = &mut pre_data[i * fan_out..(i + 1) * fan_out];
-            let out_row = &mut out_data[i * fan_out..(i + 1) * fan_out];
-            for ((p, o), &b) in pre_row.iter_mut().zip(out_row.iter_mut()).zip(bias.iter()) {
-                *p += b;
-                *o = act.apply_scalar(*p);
+        let data = z.as_mut_slice();
+        for i in 0..input.rows() {
+            for (v, &b) in data[i * fan_out..(i + 1) * fan_out].iter_mut().zip(bias) {
+                *v += b;
             }
         }
         Ok(())

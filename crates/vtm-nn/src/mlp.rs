@@ -307,8 +307,11 @@ impl Mlp {
     ///
     /// Returns a [`ShapeError`] when the input width does not match [`Mlp::input_dim`].
     pub fn forward(&self, input: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut x = input.clone();
-        for layer in &self.layers {
+        let Some((first, rest)) = self.layers.split_first() else {
+            return Ok(input.clone());
+        };
+        let mut x = first.forward(input)?;
+        for layer in rest {
             x = layer.forward(&x)?;
         }
         Ok(x)
@@ -337,8 +340,13 @@ impl Mlp {
     /// # Errors
     ///
     /// Returns a [`ShapeError`] when rows are ragged or their width does not
-    /// match [`Mlp::input_dim`].
+    /// match [`Mlp::input_dim`]. An empty batch is not an error: it returns
+    /// a `0 x output_dim` matrix.
     pub fn forward_rows(&self, rows: &[&[f64]]) -> Result<Matrix, ShapeError> {
+        if rows.is_empty() {
+            // `Matrix::from_rows` has no width to give zero rows.
+            return Ok(Matrix::zeros(0, self.output_dim()));
+        }
         self.forward(&Matrix::from_rows(rows)?)
     }
 
@@ -789,6 +797,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn empty_batch_is_fine() {
+        let n = net(8);
+        let empty = n.forward_rows(&[]).unwrap();
+        assert_eq!(empty.shape(), (0, n.output_dim()));
+        assert_eq!(empty, n.forward(&Matrix::zeros(0, n.input_dim())).unwrap());
     }
 
     #[test]

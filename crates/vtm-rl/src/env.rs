@@ -1,5 +1,7 @@
 //! Environment abstractions for episodic reinforcement learning.
 
+use vtm_nn::activation::tanh;
+
 /// Inclusive box bounds for a continuous action space.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActionSpace {
@@ -40,11 +42,12 @@ impl ActionSpace {
             .collect()
     }
 
-    /// Maps an unconstrained vector into the box using a scaled `tanh` squash.
+    /// Maps an unconstrained vector into the box using a scaled `tanh` squash
+    /// (the libm-free [`vtm_nn::activation::tanh`] the networks use).
     pub fn squash(&self, raw: &[f64]) -> Vec<f64> {
         raw.iter()
             .zip(self.low.iter().zip(self.high.iter()))
-            .map(|(&x, (&lo, &hi))| lo + (hi - lo) * 0.5 * (x.tanh() + 1.0))
+            .map(|(&x, (&lo, &hi))| lo + (hi - lo) * 0.5 * (tanh(x) + 1.0))
             .collect()
     }
 
