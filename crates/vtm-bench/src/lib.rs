@@ -1,8 +1,8 @@
 //! # vtm-bench — experiment harness
 //!
-//! Shared utilities for the experiment binaries that regenerate every figure
-//! of the paper's evaluation (§V), the trace-driven scenario experiments and
-//! the criterion benchmarks.
+//! Shared utilities for the experiment binary that regenerates every figure
+//! of the paper's evaluation (§V) and the trace-driven scenario experiments,
+//! and for the wall-clock acceptance tests.
 //!
 //! The single manifest-driven [`experiments`] runner replaces the old
 //! one-figure-per-binary layout: every experiment is an entry in
@@ -83,10 +83,10 @@ pub fn train_mechanism(
     (mechanism, history)
 }
 
-/// The 12-dimensional fixed-horizon environment shared by the DRL rollout
-/// benchmarks (`benches/drl.rs`) and the rollout acceptance test
-/// (`tests/rollout_speedup.rs`): `K`-round episodes like the paper's pricing
-/// game, reward peaking at action 25 inside the `[5, 50]` price box.
+/// The 12-dimensional fixed-horizon environment of the rollout equivalence
+/// and acceptance tests (`tests/rollout_speedup.rs`): `K`-round episodes
+/// like the paper's pricing game, reward peaking at action 25 inside the
+/// `[5, 50]` price box.
 #[derive(Debug, Clone)]
 pub struct FixedHorizonEnv {
     t: usize,
@@ -128,7 +128,7 @@ impl Environment for FixedHorizonEnv {
     }
 }
 
-/// The PPO agent configuration used by the rollout benchmarks and the
+/// The PPO agent configuration used by the rollout tests and the
 /// bare-gateway overhead acceptances ([`load_bench::bare_gateway_qps`]):
 /// 12-dim observations, scalar price action, fixed seed 7.
 pub fn rollout_bench_agent() -> PpoAgent {
@@ -140,8 +140,8 @@ pub fn rollout_bench_agent() -> PpoAgent {
 
 /// The PPO agent at the paper's training shapes — 7-dim observation, scalar
 /// price action, two hidden layers of 64 units, mini-batch `|I| = 20`,
-/// `M = 10` update epochs — shared by the update-path benchmarks, the
-/// fused/reference equivalence test and the `bench_json` emitter.
+/// `M = 10` update epochs — shared by the fused/reference equivalence test
+/// and the update speedup acceptance (`tests/update_equivalence.rs`).
 pub fn update_bench_agent(seed: u64) -> PpoAgent {
     PpoAgent::new(
         PpoConfig::new(7, 1).with_seed(seed),

@@ -434,7 +434,7 @@ mod tests {
         std::fs::write(dir.join(name), body).unwrap();
     }
 
-    fn bench_json(baseline_qps: f64, scaled_qps: f64, p99: f64) -> String {
+    fn bench_report(baseline_qps: f64, scaled_qps: f64, p99: f64) -> String {
         format!(
             "{{\"baseline_qps\": {baseline_qps}, \"scaled_qps\": {scaled_qps}, \
              \"runs\": [{{\"label\": \"baseline-closed\", \"client_p99_us\": {p99}}}]}}"
@@ -452,12 +452,12 @@ mod tests {
         write(
             &baselines,
             "BENCH_gateway.json",
-            &bench_json(1000.0, 900.0, 2000.0),
+            &bench_report(1000.0, 900.0, 2000.0),
         );
         write(
             &current,
             "BENCH_gateway.json",
-            &bench_json(850.0, 800.0, 2100.0),
+            &bench_report(850.0, 800.0, 2100.0),
         );
         let report = run_slo_check(&SloOptions {
             current_dir: current,
@@ -476,13 +476,13 @@ mod tests {
         write(
             &baselines,
             "BENCH_gateway.json",
-            &bench_json(1000.0, 1000.0, 2000.0),
+            &bench_report(1000.0, 1000.0, 2000.0),
         );
         // 40% drop — outside the 30% band.
         write(
             &current,
             "BENCH_gateway.json",
-            &bench_json(600.0, 600.0, 2000.0),
+            &bench_report(600.0, 600.0, 2000.0),
         );
         let report = run_slo_check(&SloOptions {
             current_dir: current,
@@ -504,13 +504,13 @@ mod tests {
         write(
             &baselines,
             "BENCH_gateway.json",
-            &bench_json(1000.0, 1000.0, 1000.0),
+            &bench_report(1000.0, 1000.0, 1000.0),
         );
         // Throughput fine, p99 tripled — warn, not fail.
         write(
             &current,
             "BENCH_gateway.json",
-            &bench_json(1000.0, 1000.0, 3000.0),
+            &bench_report(1000.0, 1000.0, 3000.0),
         );
         let report = run_slo_check(&SloOptions {
             current_dir: current,
@@ -532,7 +532,7 @@ mod tests {
         write(
             &current,
             "BENCH_gateway.json",
-            &bench_json(1000.0, 1000.0, 1000.0),
+            &bench_report(1000.0, 1000.0, 1000.0),
         );
         let err = run_slo_check(&SloOptions {
             current_dir: current,

@@ -71,8 +71,7 @@ fn fused_update_matches_reference_bitwise_over_training_run() {
 }
 
 /// The fused update must beat the reference path by at least 1.5x at the
-/// paper's shapes (the acceptance target recorded by `bench_json` in
-/// `results/BENCH_ppo.json`). `#[ignore]`d because timing assertions are
+/// paper's shapes. `#[ignore]`d because timing assertions are
 /// load-sensitive; run explicitly with
 /// `cargo test -p vtm-bench --release -- --ignored --nocapture`.
 #[test]

@@ -162,21 +162,12 @@ impl IncentiveMechanism {
         &self.agent
     }
 
-    /// Runs Algorithm 1 for the configured number of episodes.
+    /// Runs Algorithm 1 for the configured number of episodes: one
+    /// environment replica, one episode per PPO update (Algorithm 1, lines
+    /// 10-13), through the agent's fused, allocation-free update path
+    /// ([`PpoAgent::update`]).
     pub fn train(&mut self) -> TrainingHistory {
-        let episodes = self.config.drl.episodes;
-        self.train_episodes(episodes)
-    }
-
-    /// Runs Algorithm 1 for an explicit number of episodes (useful for tests
-    /// and for the ablation sweeps).
-    ///
-    /// A thin shim over the builder-style [`Trainer`]: one environment
-    /// replica, one episode per PPO update (Algorithm 1, lines 10-13). The
-    /// per-episode update runs through the agent's fused, allocation-free
-    /// path ([`PpoAgent::update`]).
-    pub fn train_episodes(&mut self, episodes: usize) -> TrainingHistory {
-        self.train_with(episodes, 1, 1)
+        self.train_with(self.config.drl.episodes, 1, 1)
     }
 
     /// Vectorized Algorithm 1: trains on `num_envs` environment replicas
@@ -189,8 +180,9 @@ impl IncentiveMechanism {
     /// randomness instead of replaying the first call's streams. Every round
     /// contributes `num_envs` episodes to one update, so the effective batch
     /// per update is `num_envs` times larger than in
-    /// [`IncentiveMechanism::train_episodes`]; `episodes` is rounded up to a
-    /// whole number of rounds.
+    /// [`IncentiveMechanism::train`]; `episodes` is rounded up to a whole
+    /// number of rounds. `train_episodes_parallel(n, 1, 1)` is Algorithm 1
+    /// for `n` episodes, one episode per update.
     ///
     /// `num_threads = 0` uses one worker per available CPU core.
     ///
@@ -409,7 +401,7 @@ mod tests {
     #[test]
     fn training_produces_history_of_requested_length() {
         let mut mech = IncentiveMechanism::new(fast_config());
-        let history = mech.train_episodes(5);
+        let history = mech.train_episodes_parallel(5, 1, 1);
         assert_eq!(history.episodes.len(), 5);
         assert_eq!(history.returns().len(), 5);
         assert_eq!(history.msp_utilities().len(), 5);
@@ -527,7 +519,7 @@ mod tests {
     #[test]
     fn drl_scheme_interoperates_with_run_scheme() {
         let mut mech = IncentiveMechanism::new(fast_config());
-        mech.train_episodes(3);
+        mech.train_episodes_parallel(3, 1, 1);
         let game = mech.game().clone();
         let mut scheme = mech.into_scheme();
         assert_eq!(scheme.name(), "drl-ppo");

@@ -43,7 +43,8 @@ impl ArmSpec {
 pub enum ArmSpecError {
     /// No arms were given.
     Empty,
-    /// An arm name is empty or repeated.
+    /// An arm name is empty, repeated, or has a character outside ASCII
+    /// letters, digits, `-` and `_`.
     BadName(String),
     /// The percentages do not sum to 100.
     BadSplit(u32),
@@ -56,7 +57,11 @@ impl fmt::Display for ArmSpecError {
         match self {
             ArmSpecError::Empty => write!(f, "at least one arm is required"),
             ArmSpecError::BadName(name) => {
-                write!(f, "arm names must be unique and non-empty (got {name:?})")
+                write!(
+                    f,
+                    "arm names must be unique, non-empty and use only ASCII letters, \
+                     digits, '-' and '_' (got {name:?})"
+                )
             }
             ArmSpecError::BadSplit(sum) => {
                 write!(f, "arm percentages must sum to 100 (got {sum})")
@@ -103,8 +108,10 @@ pub struct ArmTable {
 }
 
 impl ArmTable {
-    /// Validates the specs: non-empty, unique non-empty names, percentages
-    /// summing to exactly 100.
+    /// Validates the specs: non-empty, unique non-empty names made of
+    /// ASCII letters, digits, `-` and `_`, percentages summing to exactly
+    /// 100. Names reach JSON reports and journal file names verbatim, so
+    /// this check is what keeps both well formed.
     ///
     /// # Errors
     ///
@@ -114,7 +121,12 @@ impl ArmTable {
             return Err(ArmSpecError::Empty);
         }
         for (i, arm) in arms.iter().enumerate() {
-            if arm.name.is_empty() || arms[..i].iter().any(|a| a.name == arm.name) {
+            let well_formed = !arm.name.is_empty()
+                && arm
+                    .name
+                    .bytes()
+                    .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_');
+            if !well_formed || arms[..i].iter().any(|a| a.name == arm.name) {
                 return Err(ArmSpecError::BadName(arm.name.clone()));
             }
         }
@@ -186,6 +198,13 @@ mod tests {
             ArmTable::new(vec![ArmSpec::new("a", 50), ArmSpec::new("a", 50)]),
             Err(ArmSpecError::BadName(_))
         ));
+        for name in ["", "x\"y", "a/b", "a.b", "a b", "caf\u{e9}"] {
+            assert_eq!(
+                ArmTable::new(vec![ArmSpec::new(name, 100)]).unwrap_err(),
+                ArmSpecError::BadName(name.to_string())
+            );
+        }
+        assert!(ArmTable::new(vec![ArmSpec::new("A-1_z", 100)]).is_ok());
         assert!(matches!(
             ArmTable::new(vec![ArmSpec::new("a", 50), ArmSpec::new("b", 49)]),
             Err(ArmSpecError::BadSplit(99))

@@ -456,7 +456,7 @@ impl TelemetrySnapshot {
             ),
             (
                 "vtm_gateway_batches_total",
-                "Batches flushed by the scheduler.",
+                "Batches flushed by the executors.",
                 self.batches,
             ),
             (

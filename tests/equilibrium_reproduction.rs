@@ -103,7 +103,7 @@ fn average_vmu_utility_declines_as_population_grows_under_a_cap() {
 #[test]
 fn closed_form_and_numerical_equilibria_agree_across_costs_and_populations() {
     for cost in [5.0, 7.0, 9.0] {
-        for n in [1, 3, 5] {
+        for n in [1, 3, 5, 20, 100] {
             let mut cfg = ExperimentConfig::paper_n_vmus(n);
             cfg.market.unit_cost = cost;
             let game = AotmStackelbergGame::from_config(&cfg);

@@ -34,7 +34,7 @@ fn training_returns_are_bounded_by_rounds_per_episode() {
     // The Eq. (12) reward is an indicator, so an episode's return can never
     // exceed the number of rounds (the paper's Fig. 2(a) converges towards it).
     let mut mechanism = IncentiveMechanism::new(fast_config(2));
-    let history = mechanism.train_episodes(10);
+    let history = mechanism.train_episodes_parallel(10, 1, 1);
     for log in &history.episodes {
         assert!(log.episode_return >= 0.0);
         assert!(log.episode_return <= 40.0 + 1e-9);
@@ -45,7 +45,7 @@ fn training_returns_are_bounded_by_rounds_per_episode() {
 #[test]
 fn sparse_reward_training_improves_or_holds_the_episode_return() {
     let mut mechanism = IncentiveMechanism::new(fast_config(3));
-    let history = mechanism.train_episodes(60);
+    let history = mechanism.train_episodes_parallel(60, 1, 1);
     let early = history.episodes[..10]
         .iter()
         .map(|e| e.episode_return)
