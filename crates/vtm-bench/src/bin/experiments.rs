@@ -383,8 +383,8 @@ fn main_load_bench(bench: LoadBench, args: &[String]) {
                 "    shard {}/{:<4} p50 {} us, p99 {} us, mean batch {:.1}, rejected {}",
                 gateway.arm,
                 gateway.shard,
-                t.latency_p50_us,
-                t.latency_p99_us,
+                t.latency.p50_us(),
+                t.latency.p99_us(),
                 t.mean_batch_size,
                 t.rejected
             );
@@ -394,9 +394,9 @@ fn main_load_bench(bench: LoadBench, args: &[String]) {
                 "    arm {:<10} {:>8} quotes, p50 {} us, p95 {} us, p99 {} us, revenue {:.1}",
                 arm.name,
                 arm.quotes,
-                arm.latency_p50_us,
-                arm.latency_p95_us,
-                arm.latency_p99_us,
+                arm.latency.p50_us(),
+                arm.latency.p95_us(),
+                arm.latency.p99_us(),
                 arm.revenue
             );
         }

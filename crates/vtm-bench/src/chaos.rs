@@ -299,10 +299,10 @@ fn run_plan(plan: &str, opts: &ChaosOptions) -> Result<ChaosPlanResult, String> 
                     stats.completed
                 ));
             }
-            if stats.latency_max_us < 5_000 {
+            if stats.latency.max_us < 5_000 {
                 violations.push(format!(
                     "injected 5ms batch delay not visible in latency (max {} us)",
-                    stats.latency_max_us
+                    stats.latency.max_us
                 ));
             }
         }

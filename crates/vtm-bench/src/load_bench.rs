@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use vtm_core::registry::{EnvBuildOptions, EnvRegistry, RequestFrame};
 use vtm_fabric::{ArmSpec, Fabric, FabricConfig, FabricError, FabricSnapshot};
 use vtm_gateway::{Gateway, GatewayConfig, GatewayError};
-use vtm_obs::percentile_sorted;
+use vtm_obs::{percentile_sorted, MetricsRegistry};
 use vtm_serve::{Precision, PricingService, Quote, QuoteRequest, ServiceConfig, SharedPolicy};
 
 use crate::serve_bench::{resolve_snapshot, BenchPrecision};
@@ -221,6 +221,8 @@ impl LoadBenchResult {
             .runs
             .iter()
             .map(|run| {
+                let mut fabric = MetricsRegistry::new();
+                run.fabric.register_metrics(&mut fabric);
                 format!(
                     "    {{\"label\": \"{}\", \"mode\": \"{}\", \"shards\": {}, \
                      \"ingress\": {}, \"executors\": {}, \"offered_qps\": {}, \
@@ -235,7 +237,7 @@ impl LoadBenchResult {
                     run.achieved_qps,
                     opt(run.client_p50_us),
                     opt(run.client_p99_us),
-                    run.fabric.to_json(),
+                    fabric.render_json(),
                 )
             })
             .collect();
@@ -678,7 +680,7 @@ mod tests {
             assert_eq!(t.failed, 0);
             assert_eq!(t.queue_depth, 0, "shutdown must drain");
             if t.completed > 0 {
-                assert!(t.latency_p99_us >= t.latency_p50_us);
+                assert!(t.latency.p99_us() >= t.latency.p50_us());
                 assert!(t.batches > 0);
             }
         }
@@ -689,8 +691,8 @@ mod tests {
         assert!(json.contains("\"f32_scaled_qps\""));
         assert!(json.contains("\"scaled-closed-f32\""));
         assert!(json.contains("\"client_p50_us\""));
-        assert!(json.contains("\"p99\""));
-        assert!(json.contains("\"batch_size_buckets\""));
+        assert!(json.contains("\"p99_us\""));
+        assert!(json.contains("\"vtm_gateway_batch_size_total\""));
     }
 
     #[test]
@@ -733,7 +735,7 @@ mod tests {
                 assert_eq!(arm_quotes, completed);
                 let majority = &run.fabric.arms[0];
                 assert!(majority.revenue > 0.0, "revenue proxy must accumulate");
-                assert!(majority.latency_p99_us >= majority.latency_p50_us);
+                assert!(majority.latency.p99_us() >= majority.latency.p50_us());
             }
         }
         let scaled = &result.runs[1];
@@ -744,7 +746,7 @@ mod tests {
         assert!(json.contains("\"arms\": [\"a=90\", \"b=10\"]"));
         assert!(json.contains("\"baseline_qps\""));
         assert!(json.contains("\"open-x1.00\""));
-        assert!(json.contains("\"revenue\""));
+        assert!(json.contains("\"vtm_fabric_arm_revenue\""));
         assert!(json.contains("\"generation\""));
     }
 

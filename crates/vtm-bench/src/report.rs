@@ -10,6 +10,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use vtm_obs::escape_json;
+
 /// A simple column-oriented results table that can be printed and saved as
 /// CSV or JSON.
 #[derive(Debug, Clone, Default)]
@@ -110,23 +112,6 @@ pub fn json_number(value: f64) -> String {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One experiment's report: a results table, a human title and free-text
 /// notes, emitted as stdout + CSV + JSON.
 #[derive(Debug, Clone)]
@@ -176,7 +161,7 @@ impl Report {
             .table
             .headers()
             .iter()
-            .map(|h| format!("\"{}\"", json_escape(h)))
+            .map(|h| format!("\"{}\"", escape_json(h)))
             .collect();
         let rows: Vec<String> = self
             .table
@@ -190,12 +175,12 @@ impl Report {
         let notes: Vec<String> = self
             .notes
             .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
+            .map(|n| format!("\"{}\"", escape_json(n)))
             .collect();
         format!(
             "{{\n  \"name\": \"{}\",\n  \"title\": \"{}\",\n  \"headers\": [{}],\n  \"rows\": [{}],\n  \"notes\": [{}]\n}}\n",
-            json_escape(&self.name),
-            json_escape(&self.title),
+            escape_json(&self.name),
+            escape_json(&self.title),
             headers.join(","),
             rows.join(","),
             notes.join(",")
@@ -265,7 +250,6 @@ mod tests {
 
     #[test]
     fn json_escaping_and_numbers() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_number(1.5), "1.5");
         assert_eq!(json_number(f64::NAN), "null");
         assert_eq!(json_number(f64::INFINITY), "null");

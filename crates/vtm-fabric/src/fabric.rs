@@ -464,6 +464,13 @@ impl Fabric {
                 }
             }
         }
+        self.snapshot_of(gateways)
+    }
+
+    /// The per-arm counters with `gateways` folded in, assembled into a
+    /// [`FabricSnapshot`] (shared by [`Fabric::telemetry`] and
+    /// [`Fabric::shutdown`]).
+    fn snapshot_of(&self, gateways: Vec<ShardTelemetry>) -> FabricSnapshot {
         let mut arms: Vec<_> = self
             .arms
             .iter()
@@ -541,17 +548,7 @@ impl Fabric {
                     t.shard,
                 )
             });
-            let mut arms: Vec<_> = self
-                .arms
-                .iter()
-                .map(|arm| arm.telemetry.snapshot(&arm.spec.name, arm.spec.percent))
-                .collect();
-            fold_gateway_rollups(&mut arms, &drained);
-            let snapshot = FabricSnapshot {
-                shards: self.shards(),
-                arms,
-                gateways: drained,
-            };
+            let snapshot = self.snapshot_of(drained);
             *done = Some(snapshot.clone());
             snapshot
         }

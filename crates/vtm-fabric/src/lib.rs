@@ -13,8 +13,9 @@
 //! * [`ArmSpec`] / [`parse_arms`] — named policy arms with hash-stable
 //!   percentage assignment (`"a=90,b=10"`),
 //! * [`FabricSnapshot`] / [`ArmSnapshot`] — per-arm quotes, latency
-//!   percentiles, degraded/shed counters and revenue-proxy sums next to
-//!   every per-shard gateway snapshot.
+//!   histograms, degraded/shed counters and revenue-proxy sums next to
+//!   every per-shard gateway snapshot, exposed through
+//!   [`FabricSnapshot::register_metrics`].
 //!
 //! The determinism contract extends the gateway's: a 1-shard/1-arm fabric
 //! is bit-identical to a bare gateway on the same request stream, and with

@@ -74,11 +74,10 @@ impl ArmTelemetry {
         }
     }
 
-    /// A point-in-time copy with derived percentiles. Gateway-side fault
-    /// counters and stage histograms start zeroed/absent here — they are
-    /// folded in from the per-gateway snapshots by [`fold_gateway_rollups`].
+    /// A point-in-time copy. Gateway-side fault counters and stage
+    /// histograms start zeroed/absent here — they are folded in from the
+    /// per-gateway snapshots by [`fold_gateway_rollups`].
     pub(crate) fn snapshot(&self, name: &str, percent: u32) -> ArmSnapshot {
-        let latency = self.latency.snapshot();
         ArmSnapshot {
             name: name.to_string(),
             percent,
@@ -91,11 +90,7 @@ impl ArmTelemetry {
             expired: 0,
             journal_bypassed: 0,
             revenue: f64::from_bits(self.revenue_bits.load(Ordering::Relaxed)),
-            latency_p50_us: latency.p50_us(),
-            latency_p95_us: latency.p95_us(),
-            latency_p99_us: latency.p99_us(),
-            latency_mean_us: latency.mean_us(),
-            latency,
+            latency: self.latency.snapshot(),
             stages: None,
         }
     }
@@ -150,16 +145,8 @@ pub struct ArmSnapshot {
     /// Revenue proxy: the sum of quoted prices ([`vtm_serve::Quote::price`])
     /// over every resolved quote — the A/B comparison metric.
     pub revenue: f64,
-    /// Median client-observed latency (bucket upper bound, µs).
-    pub latency_p50_us: u64,
-    /// 95th-percentile client-observed latency (bucket upper bound, µs).
-    pub latency_p95_us: u64,
-    /// 99th-percentile client-observed latency (bucket upper bound, µs).
-    pub latency_p99_us: u64,
-    /// Mean client-observed latency (exact, µs).
-    pub latency_mean_us: f64,
-    /// The full client-observed latency histogram the percentiles above
-    /// derive from.
+    /// Client-observed ticket-resolution latency (percentiles via
+    /// [`HistogramSnapshot::p50_us`] and friends).
     pub latency: HistogramSnapshot,
     /// Per-stage latency decomposition merged across the arm's traced
     /// gateways; `None` when no gateway had tracing enabled.
@@ -167,39 +154,9 @@ pub struct ArmSnapshot {
 }
 
 impl ArmSnapshot {
-    /// Renders the arm as a JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\": \"{}\", \"percent\": {}, \"quotes\": {}, \"degraded\": {}, \
-             \"shed\": {}, \"rejected\": {}, \"failed\": {}, \"promotions\": {}, \
-             \"expired\": {}, \"journal_bypassed\": {}, \
-             \"revenue\": {:.3}, \
-             \"latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"mean\": {:.1}}}, \
-             \"stages\": {}}}",
-            self.name,
-            self.percent,
-            self.quotes,
-            self.degraded,
-            self.shed,
-            self.rejected,
-            self.failed,
-            self.promotions,
-            self.expired,
-            self.journal_bypassed,
-            self.revenue,
-            self.latency_p50_us,
-            self.latency_p95_us,
-            self.latency_p99_us,
-            self.latency_mean_us,
-            self.stages
-                .as_ref()
-                .map_or_else(|| "null".to_string(), StageSnapshot::to_json),
-        )
-    }
-
-    /// Registers the arm's counters, revenue gauge and latency histogram
-    /// into `registry` under the `vtm_fabric_arm_*` namespace, labelled
-    /// with the arm name.
+    /// Registers the arm's counters, share and revenue gauges, latency
+    /// histogram and (when traced) stage histograms into `registry` under
+    /// the `vtm_fabric_arm_*` namespace, labelled with the arm name.
     pub fn register_metrics(&self, registry: &mut MetricsRegistry) {
         let labels: [(&str, &str); 1] = [("arm", &self.name)];
         let counters: [(&str, &str, u64); 8] = [
@@ -248,6 +205,12 @@ impl ArmSnapshot {
             registry.counter(name, help, &labels, value);
         }
         registry.gauge(
+            "vtm_fabric_arm_percent",
+            "Configured session share of the arm, in percent.",
+            &labels,
+            f64::from(self.percent),
+        );
+        registry.gauge(
             "vtm_fabric_arm_revenue",
             "Sum of quoted prices resolved for the arm.",
             &labels,
@@ -260,28 +223,7 @@ impl ArmSnapshot {
             &self.latency,
         );
         if let Some(stages) = &self.stages {
-            registry.counter(
-                "vtm_fabric_arm_traced_total",
-                "Sampled requests folded into the arm's stage histograms.",
-                &labels,
-                stages.traced,
-            );
-            let named = [
-                ("queue_wait", &stages.queue_wait),
-                ("batch_form", &stages.batch_form),
-                ("inference", &stages.inference),
-                ("resolve", &stages.resolve),
-                ("journal_append", &stages.journal_append),
-            ];
-            for (stage, histogram) in named {
-                let stage_labels: [(&str, &str); 2] = [("arm", &self.name), ("stage", stage)];
-                registry.histogram(
-                    "vtm_fabric_arm_stage_us",
-                    "Per-stage latency decomposition aggregated over the arm (log2 us buckets).",
-                    &stage_labels,
-                    histogram,
-                );
-            }
+            stages.register_metrics(registry, "vtm_fabric_arm", &labels);
         }
     }
 }
@@ -314,34 +256,10 @@ pub struct FabricSnapshot {
 }
 
 impl FabricSnapshot {
-    /// Renders the snapshot as a JSON object (no trailing newline), in the
-    /// same hand-rolled dependency-free style as the `results/` reports.
-    pub fn to_json(&self) -> String {
-        let arms: Vec<String> = self.arms.iter().map(ArmSnapshot::to_json).collect();
-        let gateways: Vec<String> = self
-            .gateways
-            .iter()
-            .map(|g| {
-                format!(
-                    "{{\"arm\": \"{}\", \"shard\": {}, \"generation\": {}, \"telemetry\": {}}}",
-                    g.arm,
-                    g.shard,
-                    g.generation,
-                    g.telemetry.to_json()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"shards\": {}, \"arms\": [{}], \"gateways\": [{}]}}",
-            self.shards,
-            arms.join(", "),
-            gateways.join(", ")
-        )
-    }
-
     /// Registers the whole fabric into `registry`: per-arm rollups under
     /// `vtm_fabric_arm_*` plus every gateway's own `vtm_gateway_*` families
-    /// labelled by fabric coordinates (arm, shard, generation).
+    /// labelled by fabric coordinates (arm, shard, generation). This is the
+    /// snapshot's only exposition; the bench reports embed its JSON.
     pub fn register_metrics(&self, registry: &mut MetricsRegistry) {
         registry.gauge(
             "vtm_fabric_shards",
@@ -386,12 +304,10 @@ mod tests {
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.promotions, 1);
         assert!((snap.revenue - 30.0).abs() < 1e-12);
-        assert_eq!(snap.latency_mean_us, 150.0);
-        assert!(snap.latency_p50_us >= 100);
-        assert!(snap.latency_p99_us >= snap.latency_p50_us);
-        let json = snap.to_json();
-        assert!(json.contains("\"revenue\": 30.000"));
-        assert!(json.contains("\"percent\": 90"));
+        assert_eq!(snap.latency.mean_us(), 150.0);
+        assert!(snap.latency.p50_us() >= 100);
+        assert!(snap.latency.p99_us() >= snap.latency.p50_us());
+        assert_eq!(snap.percent, 90);
     }
 
     /// The revenue CAS loop survives concurrent adders without losing
@@ -464,22 +380,29 @@ mod tests {
         assert_eq!(stages.queue_wait.count, 5);
         assert_eq!(arms[1].expired, 11);
         assert!(arms[1].stages.is_none());
-        let json = arms[0].to_json();
-        assert!(json.contains("\"expired\": 5"), "{json}");
-        assert!(json.contains("\"journal_bypassed\": 8"), "{json}");
-        assert!(json.contains("\"stages\": {"), "{json}");
-        assert!(arms[1].to_json().contains("\"stages\": null"));
     }
 
-    /// The fabric-level registry carries arm rollups and per-gateway
-    /// families with fabric coordinates as labels.
+    /// The fabric-level registry carries every arm family (a traced arm
+    /// adds the stage families) plus per-gateway families with fabric
+    /// coordinates as labels.
     #[test]
     fn fabric_metrics_registry_has_arm_and_gateway_families() {
         let arm = ArmTelemetry::default();
         arm.record_quote(12.0, false, 64);
+        let traced = ArmSnapshot {
+            degraded: 2,
+            shed: 3,
+            rejected: 4,
+            failed: 5,
+            promotions: 6,
+            expired: 7,
+            journal_bypassed: 8,
+            stages: Some(StageSnapshot::default()),
+            ..arm.snapshot("traced", 10)
+        };
         let snapshot = FabricSnapshot {
             shards: 2,
-            arms: vec![arm.snapshot("steady", 100)],
+            arms: vec![arm.snapshot("steady", 90), traced],
             gateways: vec![ShardTelemetry {
                 arm: "steady".into(),
                 shard: 1,
@@ -490,19 +413,21 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         snapshot.register_metrics(&mut registry);
         let text = registry.render_text();
-        assert!(
-            text.contains("vtm_fabric_arm_quotes_total{arm=\"steady\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("vtm_fabric_arm_latency_us_count{arm=\"steady\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "vtm_gateway_submitted_total{arm=\"steady\",shard=\"1\",generation=\"3\"} 0"
-            ),
-            "{text}"
-        );
+        let counters = "quotes degraded shed rejected failed promotions expired journal_bypassed";
+        for (value, counter) in (1..).zip(counters.split(' ')) {
+            let line = format!("vtm_fabric_arm_{counter}_total{{arm=\"traced\"}} {value}\n");
+            assert!(text.contains(&line), "{line}{text}");
+        }
+        for line in [
+            "vtm_fabric_arm_percent{arm=\"traced\"} 10\n",
+            "vtm_fabric_arm_revenue{arm=\"traced\"} 12\n",
+            "vtm_fabric_arm_latency_us_count{arm=\"traced\"} 1\n",
+            "vtm_fabric_arm_traced_total{arm=\"traced\"} 0\n",
+            "vtm_fabric_arm_stage_us_count{arm=\"traced\",stage=\"inference\"} 0\n",
+            "vtm_gateway_submitted_total{arm=\"steady\",shard=\"1\",generation=\"3\"} 0\n",
+        ] {
+            assert!(text.contains(line), "{line}{text}");
+        }
+        assert!(!text.contains("vtm_fabric_arm_traced_total{arm=\"steady\"}"));
     }
 }

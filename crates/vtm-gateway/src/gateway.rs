@@ -38,12 +38,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vtm_journal::{snapshot_path, JournalOptions, JournalWriter, StateSnapshot};
-use vtm_obs::{StageHistograms, StageSnapshot, TraceRecord, Tracer, TracerConfig};
+use vtm_obs::{percentile_from_buckets, StageHistograms, TraceRecord, Tracer, TracerConfig};
 use vtm_serve::{PricingService, Quote, QuoteRequest};
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::health::{HealthConfig, HealthController, HealthState};
-use crate::telemetry::{percentile_from_buckets, Telemetry, TelemetrySnapshot};
+use crate::telemetry::{Telemetry, TelemetrySnapshot};
 
 /// What the gateway does when a journal append still fails after its
 /// bounded retries.
@@ -946,15 +946,6 @@ impl Gateway {
             .tracer
             .as_ref()
             .map_or_else(Vec::new, Tracer::records)
-    }
-
-    /// The per-stage latency decomposition accumulated from sampled traces
-    /// (`None` when tracing is disabled).
-    pub fn stage_snapshot(&self) -> Option<StageSnapshot> {
-        self.shared
-            .tracer
-            .as_ref()
-            .map(|_| self.shared.stages.snapshot())
     }
 
     /// `(published, dropped)` trace-ring counters (both 0 when tracing is

@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
-use crate::telemetry::{percentile_from_buckets, LATENCY_BUCKETS};
+use vtm_obs::{percentile_from_buckets, LATENCY_BUCKETS};
 
 /// Minimum completions in a histogram delta before its p99 is trusted.
 pub(crate) const MIN_WINDOW: u64 = 4;
@@ -50,7 +50,7 @@ pub enum HealthState {
 }
 
 impl HealthState {
-    /// Stable lowercase label (used in telemetry JSON).
+    /// Stable lowercase label (the `health` label of `vtm_gateway_info`).
     pub fn as_str(&self) -> &'static str {
         match self {
             HealthState::Healthy => "healthy",
@@ -230,7 +230,7 @@ impl HealthController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::latency_bucket;
+    use vtm_obs::latency_bucket;
 
     fn buckets(completions_at_us: &[(u64, u64)]) -> Vec<u64> {
         let mut b = vec![0u64; LATENCY_BUCKETS];

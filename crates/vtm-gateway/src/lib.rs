@@ -108,10 +108,7 @@ mod telemetry;
 pub use fault::FaultPlan;
 pub use gateway::{Gateway, GatewayConfig, GatewayError, JournalBypassPolicy, QuoteTicket};
 pub use health::{HealthConfig, HealthState};
-pub use telemetry::{
-    latency_bucket, percentile_from_buckets, Telemetry, TelemetrySnapshot, LATENCY_BUCKETS,
-    MAX_TRACKED_BATCH,
-};
+pub use telemetry::{Telemetry, TelemetrySnapshot, MAX_TRACKED_BATCH};
 // Tracing vocabulary, re-exported so gateway users configure tracing
 // without a direct vtm-obs dependency.
 pub use vtm_obs::{StageBreakdown, StageSnapshot, TraceRecord, TracerConfig};

@@ -3,11 +3,11 @@
 //!
 //! Every hot-path record is a handful of relaxed atomic increments — the
 //! gateway's request path never takes a lock for measurement. Percentiles
-//! are derived from the histogram at snapshot time: each latency bucket `b`
-//! covers `[2^b, 2^(b+1))` microseconds, and a reported percentile is the
-//! upper bound of the first bucket whose cumulative count reaches the rank
-//! (an over-estimate by at most 2x, which is the standard trade of
-//! fixed-bucket histograms — see e.g. Prometheus or HdrHistogram's
+//! are derived from the snapshot's histogram on demand: each latency
+//! bucket `b` covers `[2^b, 2^(b+1))` microseconds, and a reported
+//! percentile is the upper bound of the first bucket whose cumulative count
+//! reaches the rank (an over-estimate by at most 2x, which is the standard
+//! trade of fixed-bucket histograms — see e.g. Prometheus or HdrHistogram's
 //! coarsest setting).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,11 +15,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use vtm_obs::{HistogramSnapshot, LogHistogram, MetricsRegistry, StageSnapshot};
 
 use crate::health::HealthState;
-
-// The bucket math lives in `vtm-obs` (one copy for gateway, fabric and the
-// benches); re-exported here so existing `vtm_gateway::latency_bucket`-style
-// callers keep compiling.
-pub use vtm_obs::{latency_bucket, percentile_from_buckets, LATENCY_BUCKETS};
 
 /// Linear batch-size buckets `1..=MAX_TRACKED_BATCH`; larger batches land
 /// in the last bucket.
@@ -204,9 +199,8 @@ impl Telemetry {
         self.in_flight.load(Ordering::Relaxed)
     }
 
-    /// A point-in-time copy of every counter plus derived percentiles.
+    /// A point-in-time copy of every counter and histogram.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let latency = self.latency.snapshot();
         let batch_sizes: Vec<u64> = self
             .batch_sizes
             .iter()
@@ -233,18 +227,13 @@ impl Telemetry {
             journal_frames: self.journal_frames.load(Ordering::Relaxed),
             journal_bytes: self.journal_bytes.load(Ordering::Relaxed),
             snapshots: self.snapshots.load(Ordering::Relaxed),
-            latency_p50_us: latency.p50_us(),
-            latency_p95_us: latency.p95_us(),
-            latency_p99_us: latency.p99_us(),
-            latency_mean_us: latency.mean_us(),
-            latency_max_us: latency.max_us,
+            latency: self.latency.snapshot(),
             mean_batch_size: if batches == 0 {
                 0.0
             } else {
                 self.batch_size_sum.load(Ordering::Relaxed) as f64 / batches as f64
             },
             max_batch_size: self.batch_size_max.load(Ordering::Relaxed),
-            latency_buckets: latency.buckets,
             batch_size_buckets: batch_sizes,
             stages: None,
             journal_append_mean_us: 0.0,
@@ -298,22 +287,14 @@ pub struct TelemetrySnapshot {
     pub journal_bytes: u64,
     /// Periodic state snapshots written next to the journal.
     pub snapshots: u64,
-    /// Median completion latency (bucket upper bound, µs).
-    pub latency_p50_us: u64,
-    /// 95th-percentile completion latency (bucket upper bound, µs).
-    pub latency_p95_us: u64,
-    /// 99th-percentile completion latency (bucket upper bound, µs).
-    pub latency_p99_us: u64,
-    /// Mean completion latency (exact, µs).
-    pub latency_mean_us: f64,
-    /// Maximum completion latency (exact, µs).
-    pub latency_max_us: u64,
+    /// End-to-end completion latency: log₂-µs buckets with the exact
+    /// count, sum and max (percentiles via [`HistogramSnapshot::p50_us`]
+    /// and friends).
+    pub latency: HistogramSnapshot,
     /// Mean flushed batch size (exact).
     pub mean_batch_size: f64,
     /// Largest flushed batch.
     pub max_batch_size: u64,
-    /// Raw log-scale latency bucket counts (`[2^b, 2^(b+1))` µs).
-    pub latency_buckets: Vec<u64>,
     /// Raw batch-size bucket counts (size `i+1`; last bucket = larger).
     pub batch_size_buckets: Vec<u64>,
     /// Per-stage latency decomposition from sampled trace records (`None`
@@ -327,83 +308,13 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Renders the snapshot as a JSON object (no trailing newline), in the
-    /// same hand-rolled dependency-free style as the `results/` reports.
-    pub fn to_json(&self) -> String {
-        let nonzero = |buckets: &[u64], label: &str| -> String {
-            let entries: Vec<String> = buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| format!("{{\"{label}\": {i}, \"count\": {c}}}"))
-                .collect();
-            format!("[{}]", entries.join(", "))
-        };
-        format!(
-            "{{\"submitted\": {}, \"completed\": {}, \"rejected\": {}, \"failed\": {}, \
-             \"batches\": {}, \"queue_depth\": {}, \"health\": \"{}\", \
-             \"precision\": \"{}\", \"shard\": {}, \
-             \"faults\": {{\"expired\": {}, \"shed\": {}, \"degraded_quotes\": {}, \
-             \"panics\": {}}}, \
-             \"journal\": {{\"frames\": {}, \"bytes\": {}, \"snapshots\": {}, \
-             \"retries\": {}, \"bypassed\": {}, \"append_mean_us\": {:.1}, \
-             \"append_max_us\": {}}}, \
-             \"latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"mean\": {:.1}, \"max\": {}}}, \
-             \"batch_size\": {{\"mean\": {:.2}, \"max\": {}}}, \
-             \"stages\": {}, \
-             \"latency_buckets\": {}, \"batch_size_buckets\": {}}}",
-            self.submitted,
-            self.completed,
-            self.rejected,
-            self.failed,
-            self.batches,
-            self.queue_depth,
-            self.health.as_str(),
-            self.precision,
-            self.shard,
-            self.expired,
-            self.shed,
-            self.degraded_quotes,
-            self.panics,
-            self.journal_frames,
-            self.journal_bytes,
-            self.snapshots,
-            self.journal_retries,
-            self.journal_bypassed,
-            self.journal_append_mean_us,
-            self.journal_append_max_us,
-            self.latency_p50_us,
-            self.latency_p95_us,
-            self.latency_p99_us,
-            self.latency_mean_us,
-            self.latency_max_us,
-            self.mean_batch_size,
-            self.max_batch_size,
-            self.stages
-                .as_ref()
-                .map_or_else(|| "null".to_string(), StageSnapshot::to_json),
-            nonzero(&self.latency_buckets, "log2_us"),
-            nonzero(&self.batch_size_buckets, "size_minus_1"),
-        )
-    }
-
-    /// The end-to-end completion-latency histogram as a shared
-    /// [`HistogramSnapshot`] (for [`MetricsRegistry`] exposition and
-    /// cross-shard merging). The sum is reconstructed from the exact mean.
-    pub fn latency_histogram(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.completed,
-            sum_us: (self.latency_mean_us * self.completed as f64).round() as u64,
-            max_us: self.latency_max_us,
-            buckets: self.latency_buckets.clone(),
-        }
-    }
-
     /// Registers every counter, gauge and histogram of this snapshot into a
     /// [`MetricsRegistry`] under the `vtm_gateway_` namespace, tagging each
-    /// sample with `labels` (plus `stage` for the per-stage histograms).
+    /// sample with `labels` (plus `size` for the batch-size counts and
+    /// `stage` for the per-stage histograms). This is the snapshot's only
+    /// exposition: Prometheus text and JSON both render from the registry.
     pub fn register_metrics(&self, registry: &mut MetricsRegistry, labels: &[(&str, &str)]) {
-        let counters: [(&str, &str, u64); 13] = [
+        let counters: [(&str, &str, u64); 14] = [
             (
                 "vtm_gateway_submitted_total",
                 "Requests admitted past admission control.",
@@ -469,58 +380,70 @@ impl TelemetrySnapshot {
                 "Journal bytes written.",
                 self.journal_bytes,
             ),
+            (
+                "vtm_gateway_snapshots_total",
+                "Periodic state snapshots written next to the journal.",
+                self.snapshots,
+            ),
         ];
         for (name, help, value) in counters {
             registry.counter(name, help, labels, value);
         }
+        let gauges: [(&str, &str, f64); 5] = [
+            (
+                "vtm_gateway_queue_depth",
+                "Admitted-but-not-yet-completed requests.",
+                self.queue_depth as f64,
+            ),
+            (
+                "vtm_gateway_mean_batch_size",
+                "Mean flushed batch size.",
+                self.mean_batch_size,
+            ),
+            (
+                "vtm_gateway_max_batch_size",
+                "Largest flushed batch.",
+                self.max_batch_size as f64,
+            ),
+            (
+                "vtm_gateway_journal_append_mean_us",
+                "Mean journal append cost measured inside the writer (us).",
+                self.journal_append_mean_us,
+            ),
+            (
+                "vtm_gateway_journal_append_max_us",
+                "Slowest single journal append (us).",
+                self.journal_append_max_us as f64,
+            ),
+        ];
+        for (name, help, value) in gauges {
+            registry.gauge(name, help, labels, value);
+        }
+        let info = [
+            ("precision", self.precision),
+            ("health", self.health.as_str()),
+        ];
         registry.gauge(
-            "vtm_gateway_queue_depth",
-            "Admitted-but-not-yet-completed requests.",
-            labels,
-            self.queue_depth as f64,
+            "vtm_gateway_info",
+            "Serving precision and health state (always 1).",
+            &[labels, &info].concat(),
+            1.0,
         );
-        registry.gauge(
-            "vtm_gateway_mean_batch_size",
-            "Mean flushed batch size.",
-            labels,
-            self.mean_batch_size,
-        );
-        registry.gauge(
-            "vtm_gateway_journal_append_mean_us",
-            "Mean journal append cost measured inside the writer (us).",
-            labels,
-            self.journal_append_mean_us,
-        );
+        let batch_help =
+            format!("Flushed batches by size (size {MAX_TRACKED_BATCH} also counts larger ones).");
+        for (size, &count) in (1..).zip(&self.batch_size_buckets).filter(|(_, &c)| c > 0) {
+            let size = size.to_string();
+            let sized = [labels, &[("size", size.as_str())]].concat();
+            registry.counter("vtm_gateway_batch_size_total", &batch_help, &sized, count);
+        }
         registry.histogram(
             "vtm_gateway_latency_us",
             "End-to-end completion latency (log2 us buckets).",
             labels,
-            &self.latency_histogram(),
+            &self.latency,
         );
         if let Some(stages) = &self.stages {
-            registry.counter(
-                "vtm_gateway_traced_total",
-                "Sampled requests folded into the stage histograms.",
-                labels,
-                stages.traced,
-            );
-            let named: [(&str, &HistogramSnapshot); 5] = [
-                ("queue_wait", &stages.queue_wait),
-                ("batch_form", &stages.batch_form),
-                ("inference", &stages.inference),
-                ("resolve", &stages.resolve),
-                ("journal_append", &stages.journal_append),
-            ];
-            for (stage, histogram) in named {
-                let mut stage_labels: Vec<(&str, &str)> = labels.to_vec();
-                stage_labels.push(("stage", stage));
-                registry.histogram(
-                    "vtm_gateway_stage_us",
-                    "Per-stage latency decomposition from sampled traces (log2 us buckets).",
-                    &stage_labels,
-                    histogram,
-                );
-            }
+            stages.register_metrics(registry, "vtm_gateway", labels);
         }
     }
 }
@@ -528,17 +451,7 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_buckets_are_log2_microseconds() {
-        assert_eq!(latency_bucket(0), 0);
-        assert_eq!(latency_bucket(1), 0);
-        assert_eq!(latency_bucket(2), 1);
-        assert_eq!(latency_bucket(3), 1);
-        assert_eq!(latency_bucket(4), 2);
-        assert_eq!(latency_bucket(1024), 10);
-        assert_eq!(latency_bucket(u64::MAX), LATENCY_BUCKETS - 1);
-    }
+    use vtm_obs::JsonValue;
 
     #[test]
     fn percentiles_report_bucket_upper_bounds() {
@@ -557,19 +470,19 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.completed, 100);
         assert_eq!(snap.queue_depth, 0);
-        assert_eq!(snap.latency_p50_us, 16); // bucket [8,16) -> upper bound 16
-        assert_eq!(snap.latency_p95_us, 16);
-        assert_eq!(snap.latency_p99_us, 8192); // bucket [4096,8192)
-        assert_eq!(snap.latency_max_us, 4096);
-        assert!((snap.latency_mean_us - (98.0 * 8.0 + 2.0 * 4096.0) / 100.0).abs() < 1e-9);
+        assert_eq!(snap.latency.p50_us(), 16); // bucket [8,16) -> upper bound 16
+        assert_eq!(snap.latency.p95_us(), 16);
+        assert_eq!(snap.latency.p99_us(), 8192); // bucket [4096,8192)
+        assert_eq!(snap.latency.max_us, 4096);
+        assert!((snap.latency.mean_us() - (98.0 * 8.0 + 2.0 * 4096.0) / 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_histogram_percentiles_are_zero() {
         let snap = Telemetry::new().snapshot();
-        assert_eq!(snap.latency_p50_us, 0);
-        assert_eq!(snap.latency_p99_us, 0);
-        assert_eq!(snap.latency_mean_us, 0.0);
+        assert_eq!(snap.latency.p50_us(), 0);
+        assert_eq!(snap.latency.p99_us(), 0);
+        assert_eq!(snap.latency.mean_us(), 0.0);
         assert_eq!(snap.mean_batch_size, 0.0);
     }
 
@@ -626,17 +539,29 @@ mod tests {
         t.record_submit();
         t.record_expired();
         t.record_degraded_quote();
-        let json = t.snapshot().to_json();
-        assert!(json.contains("\"submitted\": 2"));
-        assert!(json.contains("\"rejected\": 1"));
-        assert!(json.contains("\"p99\""));
-        assert!(json.contains("\"batch_size_buckets\""));
-        assert!(json.contains("\"health\": \"healthy\""));
-        assert!(json.contains(
-            "\"faults\": {\"expired\": 1, \"shed\": 1, \"degraded_quotes\": 1, \
-             \"panics\": 1}"
-        ));
-        assert!(json.contains("\"retries\": 1, \"bypassed\": 1"));
+        let mut registry = MetricsRegistry::new();
+        t.snapshot().register_metrics(&mut registry, &[]);
+        let json = registry.render_json();
+        let parsed = JsonValue::parse(&json).expect("registry JSON parses");
+        let families = parsed.get("families").and_then(JsonValue::as_array);
+        let sample = |name: &str| {
+            let named = |f: &&JsonValue| f.get("name").and_then(JsonValue::as_str) == Some(name);
+            let family = families.and_then(|f| f.iter().find(named));
+            family.and_then(|f| f.path("samples.0")).expect(name)
+        };
+        let counters = "submitted rejected expired shed degraded_quotes panics journal_retries \
+                        journal_bypassed batch_size";
+        for name in counters.split_whitespace() {
+            let value = sample(&format!("vtm_gateway_{name}_total")).get("value");
+            let expected = if name == "submitted" { 2 } else { 1 };
+            assert_eq!(value.and_then(JsonValue::as_u64), Some(expected), "{name}");
+        }
+        let info = sample("vtm_gateway_info");
+        let label = |path| info.path(path).and_then(JsonValue::as_str);
+        assert_eq!(label("labels.precision"), Some("f64"));
+        assert_eq!(label("labels.health"), Some("healthy"));
+        let latency = sample("vtm_gateway_latency_us");
+        assert!(latency.path("value.p99_us").is_some());
     }
 
     #[test]

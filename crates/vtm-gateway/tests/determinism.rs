@@ -203,7 +203,9 @@ fn single_executor_greedy_f32_gateway_matches_f32_quote_batch_digest() {
     assert_eq!(gateway.telemetry().precision, "f32");
     let stats = gateway.shutdown();
     assert_eq!(stats.precision, "f32");
-    assert!(stats.to_json().contains("\"precision\": \"f32\""));
+    let mut registry = vtm_obs::MetricsRegistry::new();
+    stats.register_metrics(&mut registry, &[]);
+    assert!(registry.render_json().contains("\"precision\": \"f32\""));
 }
 
 /// A full batch flushes immediately — well before a long deadline.
@@ -358,5 +360,5 @@ fn concurrent_ingress_threads_complete_everything() {
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.queue_depth, 0);
     assert!(stats.batches > 0);
-    assert!(stats.latency_p99_us >= stats.latency_p50_us);
+    assert!(stats.latency.p99_us() >= stats.latency.p50_us());
 }

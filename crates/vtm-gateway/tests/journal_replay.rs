@@ -204,6 +204,9 @@ fn journal_failures_and_disabled_journaling_are_clean() {
     assert_eq!(stats.journal_frames, 0);
     assert_eq!(stats.journal_bytes, 0);
     assert_eq!(stats.snapshots, 0);
-    let json = stats.to_json();
-    assert!(json.contains("\"journal\""));
+    let mut registry = vtm_obs::MetricsRegistry::new();
+    stats.register_metrics(&mut registry, &[]);
+    assert!(registry
+        .render_text()
+        .contains("vtm_gateway_snapshots_total 0\n"));
 }

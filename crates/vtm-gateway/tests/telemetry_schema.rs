@@ -1,12 +1,12 @@
-//! Golden-file schema tests for the telemetry exposition surfaces.
+//! Golden-file schema tests for the telemetry exposition.
 //!
-//! The JSON shape of [`TelemetrySnapshot::to_json`] and the Prometheus text
-//! exposition of [`TelemetrySnapshot::register_metrics`] are consumed
-//! outside this crate (results files, dashboards, the SLO gate), so their
-//! exact rendering is pinned against committed golden files in
-//! `tests/golden/`. Regenerate with `UPDATE_GOLDENS=1 cargo test -p
-//! vtm-gateway --test telemetry_schema` after an intentional schema change
-//! and review the diff.
+//! [`TelemetrySnapshot::register_metrics`] is the snapshot's only
+//! exposition. The Prometheus text and the JSON rendering of the registry
+//! it fills are consumed outside this crate (results files, dashboards,
+//! the bench reports), so their exact rendering is pinned against
+//! committed golden files in `tests/golden/`. Regenerate with
+//! `UPDATE_GOLDENS=1 cargo test -p vtm-gateway --test telemetry_schema`
+//! after an intentional schema change and review the diff.
 
 use std::path::PathBuf;
 
@@ -64,13 +64,7 @@ fn golden_snapshot() -> TelemetrySnapshot {
     snap.journal_frames = 117;
     snap.journal_bytes = 9360;
     snap.snapshots = 1;
-    let latency = hist(&[100, 100, 200, 400, 800, 1600]);
-    snap.latency_p50_us = latency.p50_us();
-    snap.latency_p95_us = latency.p95_us();
-    snap.latency_p99_us = latency.p99_us();
-    snap.latency_mean_us = latency.mean_us();
-    snap.latency_max_us = latency.max_us;
-    snap.latency_buckets = latency.buckets;
+    snap.latency = hist(&[100, 100, 200, 400, 800, 1600]);
     snap.mean_batch_size = 3.0;
     snap.max_batch_size = 8;
     snap.batch_size_buckets[0] = 10;
@@ -89,63 +83,60 @@ fn golden_snapshot() -> TelemetrySnapshot {
     snap
 }
 
-/// The JSON rendering is byte-stable, parses with the workspace parser and
-/// exposes the documented paths.
-#[test]
-fn telemetry_snapshot_json_matches_golden() {
-    let json = golden_snapshot().to_json();
-    assert_golden("telemetry_snapshot.json", &json);
+/// The snapshot's registry, as every exposition test renders it.
+fn registry(snapshot: &TelemetrySnapshot, labels: &[(&str, &str)]) -> MetricsRegistry {
+    let mut registry = MetricsRegistry::new();
+    snapshot.register_metrics(&mut registry, labels);
+    registry
+}
 
-    let parsed = JsonValue::parse(&json).expect("snapshot JSON must parse");
-    for path in [
-        "submitted",
-        "faults.expired",
-        "faults.panics",
-        "journal.bypassed",
-        "journal.append_mean_us",
-        "latency_us.p99",
-        "stages.traced",
-        "stages.queue_wait.p50_us",
-        "stages.journal_append.count",
-        "batch_size.mean",
-    ] {
-        assert!(
-            parsed.path(path).and_then(JsonValue::as_f64).is_some(),
-            "path `{path}` missing or non-numeric in {json}"
-        );
-    }
-    // "inf" alone would match the "inference" stage key; a non-finite
+/// Pins the registry's JSON rendering against the golden file `name`, and
+/// checks that it parses with the workspace parser, carries the same
+/// families as the text exposition and holds no non-finite value.
+fn assert_json_golden(name: &str, registry: &MetricsRegistry) {
+    let json = registry.render_json();
+    assert_golden(name, &json);
+    let parsed = JsonValue::parse(&json).expect("registry JSON must parse");
+    let families = parsed.get("families").and_then(JsonValue::as_array);
+    let types = registry.render_text().matches("# TYPE ").count();
+    assert_eq!(families.map(<[_]>::len), Some(types), "{json}");
+    // "inf" alone would match the "inference" stage label; a non-finite
     // numeric value renders as `: inf` / `: NaN`.
     assert!(!json.contains("NaN") && !json.contains(": inf"), "{json}");
+}
+
+/// The registry's JSON rendering of a fully-populated snapshot is
+/// byte-stable.
+#[test]
+fn telemetry_snapshot_json_matches_golden() {
+    let registry = registry(&golden_snapshot(), &[("shard", "2")]);
+    assert_json_golden("telemetry_metrics.json", &registry);
 }
 
 /// The zeroed snapshot (tracing off, nothing recorded) also renders
 /// stably — and never leaks NaN from 0/0 means.
 #[test]
 fn zeroed_snapshot_json_matches_golden() {
-    let json = Telemetry::new().snapshot().to_json();
-    assert_golden("telemetry_snapshot_zero.json", &json);
-    let parsed = JsonValue::parse(&json).expect("zeroed snapshot JSON must parse");
-    assert!(parsed.path("stages").is_some());
-    assert!(!json.contains("NaN") && !json.contains(": inf"), "{json}");
+    assert_json_golden(
+        "telemetry_metrics_zero.json",
+        &registry(&Telemetry::new().snapshot(), &[]),
+    );
 }
 
 /// The Prometheus text exposition is byte-stable: family ordering, label
 /// rendering, cumulative `le` buckets and the stage-labelled histograms.
+/// The latency histogram is the snapshot's own, not a reconstruction.
 #[test]
 fn prometheus_exposition_matches_golden() {
-    let mut registry = MetricsRegistry::new();
-    golden_snapshot().register_metrics(&mut registry, &[("shard", "2")]);
-    let text = registry.render_text();
+    let text = registry(&golden_snapshot(), &[("shard", "2")]).render_text();
     assert_golden("telemetry_metrics.prom", &text);
-    assert!(
-        text.contains("# TYPE vtm_gateway_latency_us histogram"),
-        "{text}"
-    );
-    assert!(
-        text.contains("vtm_gateway_stage_us_count{shard=\"2\",stage=\"inference\"} 6"),
-        "{text}"
-    );
+    for line in [
+        "vtm_gateway_latency_us_bucket{shard=\"2\",le=\"+Inf\"} 6\n",
+        "vtm_gateway_info{shard=\"2\",precision=\"f64\",health=\"healthy\"} 1\n",
+        "vtm_gateway_stage_us_count{shard=\"2\",stage=\"inference\"} 6\n",
+    ] {
+        assert!(text.contains(line), "`{line}` missing from {text}");
+    }
     assert!(text.ends_with('\n'), "exposition must end with a newline");
     assert!(!text.contains("NaN"), "{text}");
 }

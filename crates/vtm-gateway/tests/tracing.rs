@@ -177,11 +177,13 @@ fn tracing_disabled_is_inert() {
         gateway.submit(request(0, session)).unwrap().wait().unwrap();
     }
     assert!(gateway.trace_records().is_empty());
-    assert!(gateway.stage_snapshot().is_none());
+    assert!(gateway.telemetry().stages.is_none());
     assert_eq!(gateway.trace_counters(), (0, 0));
     let snapshot = gateway.shutdown();
     assert!(snapshot.stages.is_none());
-    assert!(snapshot.to_json().contains("\"stages\": null"));
+    let mut registry = vtm_obs::MetricsRegistry::new();
+    snapshot.register_metrics(&mut registry, &[]);
+    assert!(!registry.render_text().contains("vtm_gateway_stage_us"));
 }
 
 /// With a journal attached, traced records carry the journal sub-stage and

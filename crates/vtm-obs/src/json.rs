@@ -437,12 +437,14 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
-        let original = "line1\nline2\t\"quoted\" \\slash\u{0001}";
-        let doc = format!("\"{}\"", escape_json(original));
-        assert_eq!(
-            JsonValue::parse(&doc).unwrap(),
-            JsonValue::String(original.into())
-        );
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        for original in ["line1\nline2\t\"quoted\" \\slash\u{0001}", "a\"b\\c\nd"] {
+            let doc = format!("\"{}\"", escape_json(original));
+            assert_eq!(
+                JsonValue::parse(&doc).unwrap(),
+                JsonValue::String(original.into())
+            );
+        }
     }
 
     #[test]

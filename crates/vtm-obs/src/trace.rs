@@ -18,6 +18,7 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::hist::{HistogramSnapshot, LogHistogram};
+use crate::metrics::MetricsRegistry;
 
 /// Number of `u64` words in a serialized [`TraceRecord`] (one ring slot).
 pub const TRACE_WORDS: usize = 12;
@@ -479,18 +480,37 @@ impl StageSnapshot {
         self.journal_append.merge(&other.journal_append);
     }
 
-    /// Renders as a JSON object of per-stage histogram objects.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"traced\": {}, \"queue_wait\": {}, \"batch_form\": {}, \
-             \"inference\": {}, \"resolve\": {}, \"journal_append\": {}}}",
+    /// Registers `<prefix>_traced_total` and one `<prefix>_stage_us`
+    /// histogram per stage (labelled `stage`) into `registry`, tagging
+    /// every sample with `labels`.
+    pub fn register_metrics(
+        &self,
+        registry: &mut MetricsRegistry,
+        prefix: &str,
+        labels: &[(&str, &str)],
+    ) {
+        registry.counter(
+            &format!("{prefix}_traced_total"),
+            "Sampled requests folded into the stage histograms.",
+            labels,
             self.traced,
-            self.queue_wait.to_json(),
-            self.batch_form.to_json(),
-            self.inference.to_json(),
-            self.resolve.to_json(),
-            self.journal_append.to_json(),
-        )
+        );
+        let named = [
+            ("queue_wait", &self.queue_wait),
+            ("batch_form", &self.batch_form),
+            ("inference", &self.inference),
+            ("resolve", &self.resolve),
+            ("journal_append", &self.journal_append),
+        ];
+        let name = format!("{prefix}_stage_us");
+        for (stage, histogram) in named {
+            registry.histogram(
+                &name,
+                "Per-stage latency decomposition from sampled traces (log2 us buckets).",
+                &[labels, &[("stage", stage)]].concat(),
+                histogram,
+            );
+        }
     }
 }
 
@@ -691,9 +711,11 @@ mod tests {
         assert_eq!(merged.traced, 2);
         assert_eq!(merged.queue_wait.count, 2);
         assert_eq!(merged.journal_append.count, 2);
-        let json = merged.to_json();
-        assert!(json.contains("\"traced\": 2"), "{json}");
-        assert!(json.contains("\"queue_wait\": {"), "{json}");
+        let mut registry = MetricsRegistry::new();
+        merged.register_metrics(&mut registry, "vtm_test", &[("arm", "a")]);
+        let text = registry.render_text();
+        assert!(text.contains("vtm_test_traced_total{arm=\"a\"} 2\n"));
+        assert!(text.contains("vtm_test_stage_us_count{arm=\"a\",stage=\"queue_wait\"} 2\n"));
     }
 
     #[test]
