@@ -47,12 +47,18 @@ pub fn data_units_from_mb(size_mb: f64) -> f64 {
 }
 
 /// AoTM of migrating `data_units` of twin state with `bandwidth_mhz` of
-/// purchased bandwidth over `link` (Eq. (1)).
+/// purchased bandwidth over `link` (Eq. (1)); see [`aotm_se`].
+pub fn aotm(data_units: f64, bandwidth_mhz: f64, link: &LinkBudget) -> AgeOfTwinMigration {
+    aotm_se(data_units, bandwidth_mhz, spectral_efficiency(link))
+}
+
+/// AoTM of migrating `data_units` of twin state with `bandwidth_mhz` of
+/// purchased bandwidth over a link of spectral efficiency `se` (Eq. (1)).
 ///
 /// Returns an infinite age when the bandwidth is zero or negative — the
 /// migration never completes, which is exactly how the immersion function
 /// treats it (no immersion).
-pub fn aotm(data_units: f64, bandwidth_mhz: f64, link: &LinkBudget) -> AgeOfTwinMigration {
+pub fn aotm_se(data_units: f64, bandwidth_mhz: f64, se: f64) -> AgeOfTwinMigration {
     if bandwidth_mhz <= 0.0 || data_units <= 0.0 {
         return AgeOfTwinMigration(if data_units <= 0.0 {
             0.0
@@ -60,7 +66,7 @@ pub fn aotm(data_units: f64, bandwidth_mhz: f64, link: &LinkBudget) -> AgeOfTwin
             f64::INFINITY
         });
     }
-    let rate = bandwidth_mhz * spectral_efficiency(link);
+    let rate = bandwidth_mhz * se;
     AgeOfTwinMigration(data_units / rate)
 }
 

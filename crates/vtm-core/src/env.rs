@@ -114,9 +114,9 @@ impl PricingEnv {
         // is its best response at the lowest admissible price (the cost C).
         let (price_lo, _) = game.msp().price_bounds();
         let demand_scale: Vec<f64> = game
-            .vmus()
-            .iter()
-            .map(|v| v.best_response(price_lo, game.link()).max(1e-9))
+            .best_responses(price_lo)
+            .into_iter()
+            .map(|b| b.max(1e-9))
             .collect();
         // Reference utility for the dense reward: best utility on a coarse grid.
         let (lo, hi) = game.msp().price_bounds();

@@ -58,10 +58,13 @@ impl Msp {
 
     /// MSP utility `U_s` of Eq. (4) for a given price and demand profile.
     pub fn utility(&self, price: f64, demands: &[f64]) -> f64 {
-        demands
-            .iter()
-            .map(|b| (price - self.market.unit_cost) * b)
-            .sum()
+        self.utility_of(price, demands.iter().copied())
+    }
+
+    /// [`Self::utility`] over demands that are produced on the fly, summed in
+    /// iteration order.
+    pub(crate) fn utility_of(&self, price: f64, demands: impl Iterator<Item = f64>) -> f64 {
+        demands.map(|b| (price - self.market.unit_cost) * b).sum()
     }
 
     /// MSP utility when every VMU best-responds to `price` (substituting
@@ -76,23 +79,44 @@ impl Msp {
         vmus.iter().map(|v| v.best_response(price, link)).sum()
     }
 
-    /// The interior optimal price of Theorem 2 assuming every VMU is active
-    /// and the bandwidth cap does not bind:
-    /// `p* = sqrt(C · log2(1+SNR) · Σα_n / ΣD_n)`.
+    /// The interior optimal price of Theorem 2 over `link`; see
+    /// [`Self::interior_optimal_price_se`].
     ///
     /// # Panics
     ///
     /// Panics if `vmus` is empty.
     pub fn interior_optimal_price(&self, vmus: &[VmuProfile], link: &LinkBudget) -> f64 {
+        self.interior_optimal_price_se(vmus, spectral_efficiency(link))
+    }
+
+    /// The interior optimal price of Theorem 2 assuming every VMU is active
+    /// and the bandwidth cap does not bind, over a link of spectral
+    /// efficiency `se = log2(1+SNR)`: `p* = sqrt(C · se · Σα_n / ΣD_n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vmus` is empty.
+    pub fn interior_optimal_price_se(&self, vmus: &[VmuProfile], se: f64) -> f64 {
         assert!(!vmus.is_empty(), "at least one VMU is required");
         let sum_alpha: f64 = vmus.iter().map(|v| v.alpha).sum();
         let sum_data: f64 = vmus.iter().map(|v| v.data_units()).sum();
-        (self.market.unit_cost * spectral_efficiency(link) * sum_alpha / sum_data).sqrt()
+        (self.market.unit_cost * se * sum_alpha / sum_data).sqrt()
     }
 
     /// The lowest price at which the aggregate best-response demand of the
-    /// given (active) VMUs fits within `B_max`:
-    /// `p_cap = Σα_n / (B_max + ΣD_n / log2(1+SNR))`.
+    /// given (active) VMUs fits within `B_max` over `link`; see
+    /// [`Self::cap_clearing_price_se`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vmus` is empty.
+    pub fn cap_clearing_price(&self, vmus: &[VmuProfile], link: &LinkBudget) -> f64 {
+        self.cap_clearing_price_se(vmus, spectral_efficiency(link))
+    }
+
+    /// The lowest price at which the aggregate best-response demand of the
+    /// given (active) VMUs fits within `B_max` over a link of spectral
+    /// efficiency `se = log2(1+SNR)`: `p_cap = Σα_n / (B_max + ΣD_n / se)`.
     ///
     /// Any price at or above this value satisfies the bandwidth constraint of
     /// Problem 2 (demand is decreasing in price).
@@ -100,11 +124,11 @@ impl Msp {
     /// # Panics
     ///
     /// Panics if `vmus` is empty.
-    pub fn cap_clearing_price(&self, vmus: &[VmuProfile], link: &LinkBudget) -> f64 {
+    pub fn cap_clearing_price_se(&self, vmus: &[VmuProfile], se: f64) -> f64 {
         assert!(!vmus.is_empty(), "at least one VMU is required");
         let sum_alpha: f64 = vmus.iter().map(|v| v.alpha).sum();
         let sum_data: f64 = vmus.iter().map(|v| v.data_units()).sum();
-        sum_alpha / (self.market.max_bandwidth_mhz + sum_data / spectral_efficiency(link))
+        sum_alpha / (self.market.max_bandwidth_mhz + sum_data / se)
     }
 }
 

@@ -70,6 +70,9 @@ pub struct AotmStackelbergGame {
     msp: Msp,
     vmus: Vec<VmuProfile>,
     link: LinkBudget,
+    /// `log2(1 + SNR)` of `link`, computed once at construction. Every
+    /// per-price evaluation reads it instead of rebuilding it from dBm and dB.
+    spectral_efficiency: f64,
 }
 
 impl AotmStackelbergGame {
@@ -77,7 +80,8 @@ impl AotmStackelbergGame {
     ///
     /// # Panics
     ///
-    /// Panics if `vmus` is empty or a profile is invalid.
+    /// Panics if `vmus` is empty, a profile is invalid or the link's distance
+    /// is not positive.
     pub fn new(market: MarketConfig, vmus: Vec<VmuProfile>, link: LinkBudget) -> Self {
         assert!(!vmus.is_empty(), "the game requires at least one VMU");
         for vmu in &vmus {
@@ -86,6 +90,7 @@ impl AotmStackelbergGame {
         Self {
             msp: Msp::new(market),
             vmus,
+            spectral_efficiency: spectral_efficiency(&link),
             link,
         }
     }
@@ -117,9 +122,9 @@ impl AotmStackelbergGame {
         &self.link
     }
 
-    /// Spectral efficiency of the inter-RSU link.
+    /// Spectral efficiency of the inter-RSU link (stored at construction).
     pub fn spectral_efficiency(&self) -> f64 {
-        spectral_efficiency(&self.link)
+        self.spectral_efficiency
     }
 
     /// Best-response demand profile of every VMU at `price` (Eq. (8), clamped
@@ -127,41 +132,67 @@ impl AotmStackelbergGame {
     pub fn best_responses(&self, price: f64) -> Vec<f64> {
         self.vmus
             .iter()
-            .map(|v| v.best_response(price, &self.link))
+            .map(|v| v.best_response_se(price, self.spectral_efficiency))
             .collect()
+    }
+
+    /// The factor that scales a demand profile summing to `total` onto the
+    /// aggregate cap `B_max`, or `None` when the profile already fits.
+    fn cap_scale(&self, total: f64) -> Option<f64> {
+        let cap = self.msp.max_bandwidth_mhz();
+        (total > cap && total > 0.0).then(|| cap / total)
+    }
+
+    /// The capped demand profile at `price` and the uncapped total it was
+    /// scaled from.
+    fn capped_demands_and_total(&self, price: f64) -> (Vec<f64>, f64) {
+        let mut demands = self.best_responses(price);
+        let total: f64 = demands.iter().sum();
+        if let Some(scale) = self.cap_scale(total) {
+            for d in &mut demands {
+                *d *= scale;
+            }
+        }
+        (demands, total)
     }
 
     /// Demand profile at `price` with the aggregate `B_max` cap enforced by
     /// proportional scaling (the feasibility projection of Problem 2).
     pub fn capped_demands(&self, price: f64) -> Vec<f64> {
-        let mut demands = self.best_responses(price);
-        let total: f64 = demands.iter().sum();
-        let cap = self.msp.max_bandwidth_mhz();
-        if total > cap && total > 0.0 {
-            let scale = cap / total;
-            for d in &mut demands {
-                *d *= scale;
-            }
-        }
-        demands
+        self.capped_demands_and_total(price).0
     }
 
     /// MSP utility at `price` when VMUs play their (capped) best responses.
+    ///
+    /// Sums the demands of [`Self::capped_demands`], in the same order,
+    /// without collecting them.
     pub fn msp_utility_at(&self, price: f64) -> f64 {
-        self.msp.utility(price, &self.capped_demands(price))
+        let se = self.spectral_efficiency;
+        let total: f64 = self
+            .vmus
+            .iter()
+            .map(|v| v.best_response_se(price, se))
+            .sum();
+        let scale = self.cap_scale(total);
+        self.msp.utility_of(
+            price,
+            self.vmus.iter().map(|v| {
+                let b = v.best_response_se(price, se);
+                scale.map_or(b, |s| b * s)
+            }),
+        )
     }
 
     /// Evaluates a full outcome (demands and utilities) at an arbitrary price.
     /// This is what the learning-based mechanism and the baseline pricing
     /// schemes use to score a posted price.
     pub fn outcome_at_price(&self, price: f64) -> EquilibriumOutcome {
-        let demands = self.capped_demands(price);
-        let uncapped_total: f64 = self.best_responses(price).iter().sum();
+        let (demands, uncapped_total) = self.capped_demands_and_total(price);
         let vmu_utilities: Vec<f64> = self
             .vmus
             .iter()
             .zip(demands.iter())
-            .map(|(v, &b)| v.utility(b, price, &self.link))
+            .map(|(v, &b)| v.utility_se(b, price, self.spectral_efficiency))
             .collect();
         EquilibriumOutcome {
             price,
@@ -186,10 +217,11 @@ impl AotmStackelbergGame {
     /// selecting the candidate with the highest leader utility.
     pub fn closed_form_equilibrium(&self) -> EquilibriumOutcome {
         let (price_lo, price_hi) = self.msp.price_bounds();
+        let se = self.spectral_efficiency;
         let mut breakpoints: Vec<f64> = self
             .vmus
             .iter()
-            .map(|v| v.reservation_price(&self.link).clamp(price_lo, price_hi))
+            .map(|v| v.reservation_price_se(se).clamp(price_lo, price_hi))
             .collect();
         breakpoints.push(price_lo);
         breakpoints.push(price_hi);
@@ -207,13 +239,13 @@ impl AotmStackelbergGame {
                 .vmus
                 .iter()
                 .copied()
-                .filter(|v| v.best_response(mid, &self.link) > 0.0)
+                .filter(|v| v.best_response_se(mid, se) > 0.0)
                 .collect();
             if active.is_empty() {
                 continue;
             }
-            let interior = self.msp.interior_optimal_price(&active, &self.link);
-            let cap_clearing = self.msp.cap_clearing_price(&active, &self.link);
+            let interior = self.msp.interior_optimal_price_se(&active, se);
+            let cap_clearing = self.msp.cap_clearing_price_se(&active, se);
             candidates.push(interior.max(cap_clearing).clamp(a, b));
         }
 
@@ -266,12 +298,12 @@ impl StackelbergGame for AotmStackelbergGame {
         own: f64,
         _others: &[f64],
     ) -> f64 {
-        self.vmus[follower].utility(own, leader_action, &self.link)
+        self.vmus[follower].utility_se(own, leader_action, self.spectral_efficiency)
     }
 
     fn follower_best_response(&self, follower: usize, leader_action: f64, _others: &[f64]) -> f64 {
         self.vmus[follower]
-            .best_response(leader_action, &self.link)
+            .best_response_se(leader_action, self.spectral_efficiency)
             .min(self.msp.max_bandwidth_mhz())
     }
 
@@ -281,9 +313,7 @@ impl StackelbergGame for AotmStackelbergGame {
 
     fn project_followers(&self, _leader_action: f64, profile: &mut [f64]) {
         let total: f64 = profile.iter().sum();
-        let cap = self.msp.max_bandwidth_mhz();
-        if total > cap && total > 0.0 {
-            let scale = cap / total;
+        if let Some(scale) = self.cap_scale(total) {
             for b in profile {
                 *b *= scale;
             }
@@ -442,6 +472,82 @@ mod tests {
         // Reservation prices of the paper's VMUs are well below 49.9 for the
         // 200 MB twin, so at least that VMU abstains.
         assert!(outcome.demands_mhz[0] < 1e-9 || outcome.demands_mhz[0] < outcome.demands_mhz[1]);
+    }
+
+    #[test]
+    fn cached_evaluation_is_bit_identical_to_the_per_link_formulas() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (mut bound, mut slack) = (0, 0);
+        for _ in 0..60 {
+            let n = rng.gen_range(1..=100usize);
+            let unit_cost = rng.gen_range(1.0..10.0);
+            let market = MarketConfig {
+                unit_cost,
+                max_price: unit_cost + rng.gen_range(5.0..80.0),
+                max_bandwidth_mhz: if rng.gen_bool(0.5) {
+                    rng.gen_range(0.05..2.0)
+                } else {
+                    rng.gen_range(10.0..100.0)
+                },
+            };
+            let vmus: Vec<VmuProfile> = (0..n)
+                .map(|i| VmuProfile::new(i, rng.gen_range(20.0..400.0), rng.gen_range(0.5..20.0)))
+                .collect();
+            let link = LinkBudget::default().with_distance(rng.gen_range(50.0..3000.0));
+            let game = AotmStackelbergGame::new(market, vmus.clone(), link);
+            let msp = Msp::new(market);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+            let (lo, hi) = msp.price_bounds();
+            let prices = std::iter::once(lo)
+                .chain((1..40).map(|i| lo + (hi - lo) * i as f64 / 40.0))
+                .chain(std::iter::once(hi));
+            for price in prices {
+                let responses: Vec<f64> =
+                    vmus.iter().map(|v| v.best_response(price, &link)).collect();
+                let total: f64 = responses.iter().sum();
+                let cap = market.max_bandwidth_mhz;
+                let mut capped = responses.clone();
+                if total > cap && total > 0.0 {
+                    bound += 1;
+                    let scale = cap / total;
+                    for d in &mut capped {
+                        *d *= scale;
+                    }
+                } else {
+                    slack += 1;
+                }
+                let utilities: Vec<f64> = vmus
+                    .iter()
+                    .zip(&capped)
+                    .map(|(v, &b)| v.utility(b, price, &link))
+                    .collect();
+                let msp_utility = msp.utility(price, &capped);
+
+                assert_eq!(bits(&game.best_responses(price)), bits(&responses));
+                assert_eq!(bits(&game.capped_demands(price)), bits(&capped));
+                assert_eq!(game.msp_utility_at(price).to_bits(), msp_utility.to_bits());
+                let outcome = game.outcome_at_price(price);
+                assert_eq!(outcome.price.to_bits(), price.to_bits());
+                assert_eq!(bits(&outcome.demands_mhz), bits(&capped));
+                assert_eq!(bits(&outcome.vmu_utilities), bits(&utilities));
+                assert_eq!(outcome.msp_utility.to_bits(), msp_utility.to_bits());
+                assert_eq!(outcome.bandwidth_cap_binding, total > cap + 1e-12);
+                assert_eq!(
+                    outcome.price_cap_binding,
+                    (price - msp.max_price()).abs() < 1e-9
+                );
+                // Two separate sums of the capped demands must not drift apart.
+                assert_eq!(
+                    game.msp_utility_at(price).to_bits(),
+                    outcome.msp_utility.to_bits()
+                );
+            }
+        }
+        assert!(bound > 0 && slack > 0, "cap bound {bound}, slack {slack}");
     }
 
     #[test]

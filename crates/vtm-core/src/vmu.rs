@@ -8,7 +8,7 @@
 
 use vtm_sim::radio::LinkBudget;
 
-use crate::aotm::{aotm, data_units_from_mb, immersion, spectral_efficiency};
+use crate::aotm::{aotm_se, data_units_from_mb, immersion, spectral_efficiency};
 
 /// A VMU participating in the bandwidth market.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,35 +55,58 @@ impl VmuProfile {
     }
 
     /// Utility `U_n(b_n)` of purchasing `bandwidth_mhz` at unit price `price`
-    /// (Eq. (2)).
+    /// over `link` (Eq. (2)); see [`Self::utility_se`].
+    pub fn utility(&self, bandwidth_mhz: f64, price: f64, link: &LinkBudget) -> f64 {
+        self.utility_se(bandwidth_mhz, price, spectral_efficiency(link))
+    }
+
+    /// Utility `U_n(b_n)` of purchasing `bandwidth_mhz` at unit price `price`
+    /// over a link of spectral efficiency `se` (Eq. (2)).
     ///
     /// A non-positive bandwidth yields zero immersion and zero payment, hence
     /// zero utility (the VMU simply abstains).
-    pub fn utility(&self, bandwidth_mhz: f64, price: f64, link: &LinkBudget) -> f64 {
+    pub fn utility_se(&self, bandwidth_mhz: f64, price: f64, se: f64) -> f64 {
         if bandwidth_mhz <= 0.0 {
             return 0.0;
         }
-        let age = aotm(self.data_units(), bandwidth_mhz, link);
+        let age = aotm_se(self.data_units(), bandwidth_mhz, se);
         immersion(self.alpha, age) - price * bandwidth_mhz
     }
 
-    /// Best-response bandwidth demand of Eq. (8), projected onto `b_n ≥ 0`:
-    /// `b_n* = max(0, α_n / p − D_n / log2(1 + SNR))`.
+    /// Best-response bandwidth demand of Eq. (8) over `link`; see
+    /// [`Self::best_response_se`].
     ///
     /// # Panics
     ///
     /// Panics if `price` is not positive.
     pub fn best_response(&self, price: f64, link: &LinkBudget) -> f64 {
+        self.best_response_se(price, spectral_efficiency(link))
+    }
+
+    /// Best-response bandwidth demand of Eq. (8) over a link of spectral
+    /// efficiency `se = log2(1 + SNR)`, projected onto `b_n ≥ 0`:
+    /// `b_n* = max(0, α_n / p − D_n / se)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `price` is not positive.
+    pub fn best_response_se(&self, price: f64, se: f64) -> f64 {
         assert!(price > 0.0, "price must be positive");
-        let unconstrained = self.alpha / price - self.data_units() / spectral_efficiency(link);
+        let unconstrained = self.alpha / price - self.data_units() / se;
         unconstrained.max(0.0)
     }
 
-    /// The price above which this VMU stops purchasing bandwidth entirely
-    /// (its unconstrained best response becomes non-positive):
-    /// `p̄_n = α_n · log2(1 + SNR) / D_n`.
+    /// The price above which this VMU stops purchasing bandwidth over `link`;
+    /// see [`Self::reservation_price_se`].
     pub fn reservation_price(&self, link: &LinkBudget) -> f64 {
-        self.alpha * spectral_efficiency(link) / self.data_units()
+        self.reservation_price_se(spectral_efficiency(link))
+    }
+
+    /// The price above which this VMU stops purchasing bandwidth entirely
+    /// (its unconstrained best response becomes non-positive) over a link of
+    /// spectral efficiency `se`: `p̄_n = α_n · se / D_n`.
+    pub fn reservation_price_se(&self, se: f64) -> f64 {
+        self.alpha * se / self.data_units()
     }
 
     /// Utility attained when best-responding to `price`.

@@ -278,6 +278,16 @@ impl Adam {
     }
 }
 
+/// Adam's bias correction `1 − β^t` at step `t`.
+///
+/// The exponent saturates at `i32::MAX`, so a step counter restored from a
+/// checkpoint at any `u64` value gives a finite correction. That changes no
+/// step up to `i32::MAX`; for the default betas it is exact beyond it too,
+/// since `β₂^t` is already exactly 0 from `t ≈ 745,000`.
+fn bias_correction(beta: f64, step: u64) -> f64 {
+    1.0 - beta.powi(i32::try_from(step).unwrap_or(i32::MAX))
+}
+
 /// The element-wise Adam update on raw slices, shared by [`Adam`] (matrix
 /// parameters) and [`VectorAdam`] (plain `Vec<f64>` parameters such as a
 /// policy's log-std) so the two stay numerically identical by construction.
@@ -359,9 +369,9 @@ impl VectorAdam {
     ///
     /// Panics if the slice lengths do not match the optimizer's dimension.
     pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        self.step += 1;
-        let bias1 = 1.0 - self.beta1.powi(self.step as i32);
-        let bias2 = 1.0 - self.beta2.powi(self.step as i32);
+        self.step = self.step.saturating_add(1);
+        let bias1 = bias_correction(self.beta1, self.step);
+        let bias2 = bias_correction(self.beta2, self.step);
         adam_step_slice(
             params,
             grads,
@@ -455,9 +465,9 @@ impl VectorAdam {
 impl Optimizer for Adam {
     fn step(&mut self, net: &mut Mlp, grads: &MlpGrads) {
         self.ensure_state(net);
-        self.step += 1;
-        let bias1 = 1.0 - self.beta1.powi(self.step as i32);
-        let bias2 = 1.0 - self.beta2.powi(self.step as i32);
+        self.step = self.step.saturating_add(1);
+        let bias1 = bias_correction(self.beta1, self.step);
+        let bias2 = bias_correction(self.beta2, self.step);
         for (idx, layer) in net.layers_mut().iter_mut().enumerate() {
             let g = &grads.layers[idx];
             assert_eq!(
@@ -675,6 +685,60 @@ mod tests {
             Adam::read_from(&mut PayloadReader::new(&bytes[..10])),
             Err(CodecError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn a_restored_step_counter_near_or_past_i32_max_takes_a_finite_step() {
+        // The bias-correction exponent saturates at i32::MAX and the counter
+        // at u64::MAX, so every one of these restored counters takes the
+        // same finite step (beta^t has underflowed to 0 for all of them).
+        let grads = [0.5, -0.25];
+        let mut vector_steps = Vec::new();
+        let mut matrix_steps = Vec::new();
+        for step in [i32::MAX as u64 - 1, i32::MAX as u64, u64::MAX] {
+            let mut opt = VectorAdam::new(0.05, 2);
+            opt.step = step;
+            let mut w = PayloadWriter::new();
+            opt.write_into(&mut w);
+            let bytes = w.into_bytes();
+            let mut restored = VectorAdam::read_from(&mut PayloadReader::new(&bytes)).unwrap();
+            let mut params = [0.1, -0.2];
+            restored.step(&mut params, &grads);
+            assert!(params.iter().all(|p| p.is_finite()), "step {step}");
+            assert_ne!(params, [0.1, -0.2], "step {step}: parameters did not move");
+            vector_steps.push(params);
+
+            let layer = crate::layer::Dense::from_parameters(
+                Matrix::filled(1, 1, 0.7),
+                Matrix::zeros(1, 1),
+                Activation::Linear,
+            )
+            .unwrap();
+            let mut net = crate::mlp::Mlp::from_layers(vec![layer]).unwrap();
+            let mut adam = Adam::new(0.05);
+            adam.ensure_state(&net);
+            adam.step = step;
+            let mut w = PayloadWriter::new();
+            adam.write_into(&mut w);
+            let bytes = w.into_bytes();
+            let mut restored = Adam::read_from(&mut PayloadReader::new(&bytes)).unwrap();
+            let grads = crate::mlp::MlpGrads {
+                layers: vec![crate::layer::DenseGrads {
+                    weights: Matrix::filled(1, 1, grads[0]),
+                    bias: Matrix::filled(1, 1, grads[1]),
+                }],
+            };
+            restored.step(&mut net, &grads);
+            let moved = [
+                net.layers()[0].weights()[(0, 0)],
+                net.layers()[0].bias()[(0, 0)],
+            ];
+            assert!(moved.iter().all(|p| p.is_finite()), "step {step}");
+            assert_ne!(moved, [0.7, 0.0], "step {step}: parameters did not move");
+            matrix_steps.push(moved);
+        }
+        assert!(vector_steps.iter().all(|p| *p == vector_steps[0]));
+        assert!(matrix_steps.iter().all(|p| *p == matrix_steps[0]));
     }
 
     #[test]

@@ -116,13 +116,13 @@ impl PolicySnapshot {
     }
 
     /// Checks the snapshot's internal consistency: hyper-parameter ranges,
-    /// network shapes against the configuration, optimizer moment shapes
-    /// against their networks, log-std length against the action dimension,
-    /// and the normalizer dimension against the observation dimension — so a
-    /// well-framed but corrupt file is rejected with a typed error here
-    /// instead of panicking inside
-    /// [`PpoAgent::restore`](crate::ppo::PpoAgent::restore) or a later
-    /// update step.
+    /// network shapes against the configuration, finite network weights and
+    /// biases, optimizer moment shapes against their networks, log-std
+    /// length against the action dimension, and the normalizer dimension
+    /// against the observation dimension — so a well-framed but corrupt file
+    /// is rejected with a typed error here instead of panicking inside
+    /// [`PpoAgent::restore`](crate::ppo::PpoAgent::restore), a later update
+    /// step or the first priced quote.
     ///
     /// # Errors
     ///
@@ -186,11 +186,22 @@ impl PolicySnapshot {
         }
         // The hidden-layer chain must match the stored networks, or a
         // restored agent would carry (and re-serialize) wrong architecture
-        // metadata.
+        // metadata. A non-finite weight or bias would load, then turn every
+        // forward pass (and so every quoted price) into NaN.
         for (name, net, out_dim) in [
             ("actor", &self.actor, self.config.action_dim),
             ("critic", &self.critic, 1),
         ] {
+            let non_finite = net.layers().iter().any(|l| {
+                l.weights()
+                    .as_slice()
+                    .iter()
+                    .chain(l.bias().as_slice())
+                    .any(|v| !v.is_finite())
+            });
+            if non_finite {
+                return err(format!("{name} network contains non-finite parameters"));
+            }
             let widths: Vec<usize> = net.layers().iter().map(|l| l.fan_out()).collect();
             let mut expected = self.config.hidden.clone();
             expected.push(out_dim);
@@ -566,6 +577,26 @@ mod tests {
             PolicySnapshot::from_bytes(&snapshot.to_bytes()),
             Err(SnapshotError::Incompatible(_))
         ));
+
+        // A non-finite network parameter would load and then poison every
+        // forward pass: one NaN actor weight, one infinite critic bias.
+        let mut snapshot = agent.snapshot();
+        snapshot.actor.layers_mut()[0].weights_mut().as_mut_slice()[0] = f64::NAN;
+        match PolicySnapshot::from_bytes(&snapshot.to_bytes()) {
+            Err(SnapshotError::Incompatible(msg)) => {
+                assert!(msg.contains("actor network"), "got: {msg}")
+            }
+            other => panic!("expected Incompatible, got {other:?}"),
+        }
+        let mut snapshot = agent.snapshot();
+        let last = snapshot.critic.layers().len() - 1;
+        snapshot.critic.layers_mut()[last].bias_mut().as_mut_slice()[0] = f64::INFINITY;
+        match PolicySnapshot::from_bytes(&snapshot.to_bytes()) {
+            Err(SnapshotError::Incompatible(msg)) => {
+                assert!(msg.contains("critic network"), "got: {msg}")
+            }
+            other => panic!("expected Incompatible, got {other:?}"),
+        }
 
         // Optimizer moments that disagree with their network are caught too:
         // train an agent with a different architecture and graft its
