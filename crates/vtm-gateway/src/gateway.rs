@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use vtm_journal::{snapshot_path, JournalOptions, JournalWriter, StateSnapshot};
 use vtm_obs::{percentile_from_buckets, StageHistograms, TraceRecord, Tracer, TracerConfig};
-use vtm_serve::{PricingService, Quote, QuoteRequest};
+use vtm_serve::{PricingService, Quote, QuoteRequest, ServeError};
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::health::{HealthConfig, HealthController, HealthState};
@@ -257,6 +257,14 @@ pub enum GatewayError {
         /// Features actually supplied.
         got: usize,
     },
+    /// A feature of the request is NaN or infinite (checked at submission,
+    /// before admission and the journal).
+    NonFiniteFeature {
+        /// The offending session id.
+        session: u64,
+        /// Index of the first non-finite feature in the block.
+        index: usize,
+    },
     /// The executor-side service call failed for the whole batch
     /// (an internal geometry bug surfaced as a typed error, never a panic).
     Service(String),
@@ -293,6 +301,9 @@ impl fmt::Display for GatewayError {
                 f,
                 "session {session}: feature block has {got} features, expected {expected}"
             ),
+            GatewayError::NonFiniteFeature { session, index } => {
+                write!(f, "session {session}: feature {index} is not finite")
+            }
             GatewayError::Service(msg) => write!(f, "service error: {msg}"),
             GatewayError::Journal(msg) => write!(f, "journal error: {msg}"),
             GatewayError::ShuttingDown => write!(f, "gateway is shutting down"),
@@ -717,6 +728,7 @@ impl Gateway {
     /// # Errors
     ///
     /// [`GatewayError::BadFeatureBlock`] for a wrong feature width,
+    /// [`GatewayError::NonFiniteFeature`] for a NaN or infinite feature,
     /// [`GatewayError::Shed`] while the health controller is shedding (or
     /// degraded with no cached quote for the session),
     /// [`GatewayError::Overloaded`] when `queue_capacity` requests are
@@ -724,14 +736,27 @@ impl Gateway {
     /// [`GatewayError::Journal`] when journaling fails under the fail-stop
     /// policy, and [`GatewayError::ShutDown`] after shutdown.
     pub fn submit(&self, request: QuoteRequest) -> Result<QuoteTicket, GatewayError> {
-        let expected = self.shared.service.config().features_per_round;
-        if request.features.len() != expected {
-            return Err(GatewayError::BadFeatureBlock {
-                session: request.session,
-                expected,
-                got: request.features.len(),
-            });
-        }
+        // The service's own check, so a request the gateway admits is one
+        // the service prices: no slot is taken and no frame is written for
+        // a malformed one.
+        self.shared
+            .service
+            .check_request(&request)
+            .map_err(|err| match err {
+                ServeError::BadFeatureBlock {
+                    session,
+                    expected,
+                    got,
+                } => GatewayError::BadFeatureBlock {
+                    session,
+                    expected,
+                    got,
+                },
+                ServeError::NonFiniteFeature { session, index } => {
+                    GatewayError::NonFiniteFeature { session, index }
+                }
+                other => GatewayError::Service(other.to_string()),
+            })?;
         // The degradation ladder is evaluated on the submit path: executors
         // may legitimately be parked waiting for a batch to fill, so
         // submissions drive the controller.

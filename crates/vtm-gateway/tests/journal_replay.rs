@@ -210,3 +210,54 @@ fn journal_failures_and_disabled_journaling_are_clean() {
         .render_text()
         .contains("vtm_gateway_snapshots_total 0\n"));
 }
+
+/// A NaN or infinite feature is refused at submit with a typed error that
+/// names the session and the feature: no admission slot, no journal frame,
+/// and the service state is the one the clean requests left.
+#[test]
+fn non_finite_features_are_rejected_before_admission_and_the_journal() {
+    let snap = policy(64);
+    let reqs = requests(12);
+    let journal = temp_journal("non_finite");
+    let service = Arc::new(fresh_service(&snap));
+    let gateway = Gateway::try_start(
+        Arc::clone(&service),
+        GatewayConfig::default()
+            .with_executors(1)
+            .with_journal(JournalOptions::new(&journal)),
+    )
+    .unwrap();
+    for req in &reqs {
+        gateway.quote(req.clone()).unwrap();
+    }
+    let digest = service.state_digest();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for index in 0..FEATURES {
+            let mut features = vec![0.5; FEATURES];
+            features[index] = bad;
+            match gateway.submit(QuoteRequest::new(5, features)) {
+                Err(
+                    err @ vtm_gateway::GatewayError::NonFiniteFeature {
+                        session: 5,
+                        index: i,
+                    },
+                ) if i == index => {
+                    assert!(!err.to_string().is_empty());
+                }
+                other => panic!("{bad} at {index}: expected NonFiniteFeature, got {other:?}"),
+            }
+            assert_eq!(service.state_digest(), digest, "{bad} at {index}");
+        }
+    }
+    let stats = gateway.shutdown();
+    assert_eq!(stats.submitted, reqs.len() as u64);
+    assert_eq!(stats.rejected, 0, "malformed requests are not backpressure");
+    assert_eq!(stats.journal_frames, reqs.len() as u64);
+    assert_eq!(service.state_digest(), digest);
+    let scanned = scan_journal(&journal, ScanMode::Strict).unwrap();
+    assert_eq!(scanned.frames.len(), reqs.len());
+    let replayed = fresh_service(&snap);
+    let report = replay_journal(&replayed, &journal, None, &ReplayOptions::default()).unwrap();
+    assert_eq!(report.state_digest, digest);
+    cleanup(&journal);
+}

@@ -82,8 +82,9 @@ impl InferenceLayer {
     /// Four batch rows are processed per pass so each weight row is
     /// streamed once per row *block*; the inner loop is a unit-stride
     /// multiply-accumulate over `fan_out` f32 lanes, the shape
-    /// autovectorizers map onto SIMD registers (4 f32 lanes on the default
-    /// SSE2 x86-64 target). The activation is one slice pass at the end
+    /// autovectorizers map onto SIMD registers (8 f32 lanes in the
+    /// repository's x86-64-v3 build, 4 in a portable SSE2 one). The
+    /// activation is one slice pass at the end
     /// ([`Activation::apply_slice_f32`]). Every output element
     /// starts from the bias and accumulates its `fan_in` terms in
     /// increasing order — identical per-element operation order for every

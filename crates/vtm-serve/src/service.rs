@@ -45,6 +45,13 @@ pub enum ServeError {
         /// Features actually supplied.
         got: usize,
     },
+    /// A request's feature block holds a NaN or an infinity.
+    NonFiniteFeature {
+        /// The offending session id.
+        session: u64,
+        /// Index of the first non-finite feature in the block.
+        index: usize,
+    },
     /// The batched forward pass rejected the assembled observation matrix
     /// (indicates an internal geometry bug, surfaced instead of panicking).
     Forward(ShapeError),
@@ -73,6 +80,9 @@ impl fmt::Display for ServeError {
                 f,
                 "session {session}: feature block has {got} features, expected {expected}"
             ),
+            ServeError::NonFiniteFeature { session, index } => {
+                write!(f, "session {session}: feature {index} is not finite")
+            }
             ServeError::Forward(err) => write!(f, "batched forward failed: {err}"),
             ServeError::State(err) => write!(f, "state payload error: {err}"),
         }
@@ -591,23 +601,45 @@ impl PricingService {
         }
     }
 
+    /// Checks one request's feature block: its width, and that every
+    /// feature is finite. A NaN or an infinity would enter the session's
+    /// history and poison its next quotes, so every quote path (and the
+    /// gateway, before it admits or journals a request) rejects it here.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadFeatureBlock`] for a wrong width,
+    /// [`ServeError::NonFiniteFeature`] for a NaN or infinite feature.
+    pub fn check_request(&self, request: &QuoteRequest) -> Result<(), ServeError> {
+        let expected = self.config.features_per_round;
+        if request.features.len() != expected {
+            return Err(ServeError::BadFeatureBlock {
+                session: request.session,
+                expected,
+                got: request.features.len(),
+            });
+        }
+        match request.features.iter().position(|f| !f.is_finite()) {
+            Some(index) => Err(ServeError::NonFiniteFeature {
+                session: request.session,
+                index,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Advances the session state for every request and returns each
     /// request's full (normalized) observation row plus warm/noise metadata,
-    /// locking every touched shard exactly once.
+    /// locking every touched shard exactly once. Every request is checked
+    /// before any session moves, so a rejected batch changes no state.
     fn gather_observations(
         &self,
         requests: &[&QuoteRequest],
     ) -> Result<GatheredObservations, ServeError> {
-        let features = self.config.features_per_round;
         for req in requests {
-            if req.features.len() != features {
-                return Err(ServeError::BadFeatureBlock {
-                    session: req.session,
-                    expected: features,
-                    got: req.features.len(),
-                });
-            }
+            self.check_request(req)?;
         }
+        let features = self.config.features_per_round;
         let mut rows: Vec<Vec<f64>> = vec![Vec::new(); requests.len()];
         let mut warmed = vec![false; requests.len()];
         let mut draws = vec![0u64; requests.len()];
@@ -715,8 +747,9 @@ impl PricingService {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ServeError`] for malformed feature blocks; an empty
-    /// batch yields an empty quote list.
+    /// Returns a typed [`ServeError`] for malformed feature blocks
+    /// ([`PricingService::check_request`]); an empty batch yields an empty
+    /// quote list.
     pub fn quote_batch(&self, requests: &[QuoteRequest]) -> Result<Vec<Quote>, ServeError> {
         let refs: Vec<&QuoteRequest> = requests.iter().collect();
         self.quote_refs(&refs)
@@ -730,8 +763,9 @@ impl PricingService {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ServeError`] for malformed feature blocks; an empty
-    /// batch yields an empty quote list.
+    /// Returns a typed [`ServeError`] for malformed feature blocks
+    /// ([`PricingService::check_request`]); an empty batch yields an empty
+    /// quote list.
     pub fn quote_refs(&self, requests: &[&QuoteRequest]) -> Result<Vec<Quote>, ServeError> {
         if requests.is_empty() {
             return Ok(Vec::new());
@@ -762,7 +796,8 @@ impl PricingService {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ServeError`] for malformed feature blocks.
+    /// Returns a typed [`ServeError`] for malformed feature blocks
+    /// ([`PricingService::check_request`]).
     pub fn quote_one(&self, request: &QuoteRequest) -> Result<Quote, ServeError> {
         let (rows, warmed, draws) = self.gather_observations(&[request])?;
         // Route by precision so single-request quotes stay bit-identical to
@@ -906,6 +941,50 @@ mod tests {
         assert!(service.end_session(0));
         assert!(!service.end_session(0));
         assert_eq!(service.stats().sessions, 2);
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_before_any_session_moves() {
+        let snap = snapshot(8, 6);
+        let service = PricingService::from_snapshot(&snap, ServiceConfig::new(4, 2)).unwrap();
+        let twin = PricingService::from_snapshot(&snap, ServiceConfig::new(4, 2)).unwrap();
+        for round in 0..2 {
+            service.quote_batch(&requests(round, 3, 2)).unwrap();
+            twin.quote_batch(&requests(round, 3, 2)).unwrap();
+        }
+        let digest = service.state_digest();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for index in 0..2 {
+                let mut features = vec![0.5; 2];
+                features[index] = bad;
+                let request = QuoteRequest::new(1, features);
+                let err = service.quote_one(&request).unwrap_err();
+                assert!(
+                    matches!(err, ServeError::NonFiniteFeature { session: 1, index: i } if i == index),
+                    "{bad} at {index}: {err:?}"
+                );
+                assert!(!err.to_string().is_empty());
+                // A bad request anywhere in a batch rejects the whole batch,
+                // before the clean requests ahead of it touch their sessions.
+                let mut batch = requests(2, 3, 2);
+                batch.push(request);
+                assert!(matches!(
+                    service.quote_batch(&batch),
+                    Err(ServeError::NonFiniteFeature { session: 1, .. })
+                ));
+                assert_eq!(service.state_digest(), digest, "{bad} at {index}");
+            }
+        }
+        // The session's next quotes are exactly those of a service that
+        // never saw the rejected requests.
+        for round in 2..7 {
+            let reqs = requests(round, 3, 2);
+            assert_eq!(
+                service.quote_batch(&reqs).unwrap(),
+                twin.quote_batch(&reqs).unwrap()
+            );
+        }
+        assert_eq!(service.state_digest(), twin.state_digest());
     }
 
     #[test]
