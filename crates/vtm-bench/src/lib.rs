@@ -138,10 +138,11 @@ pub fn rollout_bench_agent() -> PpoAgent {
     )
 }
 
-/// The PPO agent at the paper's training shapes — 7-dim observation, scalar
-/// price action, two hidden layers of 64 units, mini-batch `|I| = 20`,
-/// `M = 10` update epochs — shared by the fused/reference equivalence test
-/// and the update speedup acceptance (`tests/update_equivalence.rs`).
+/// A PPO agent at the paper's network and update shapes — two hidden
+/// layers of 64 units, mini-batch `|I| = 20`, `M = 10` update epochs — with
+/// a 7-dim observation (the paper's two-VMU market observes 12) and a
+/// scalar price action, shared by the fused/reference equivalence test and
+/// the update speedup acceptance (`tests/update_equivalence.rs`).
 pub fn update_bench_agent(seed: u64) -> PpoAgent {
     PpoAgent::new(
         PpoConfig::new(7, 1).with_seed(seed),

@@ -13,8 +13,9 @@
 //! evaluated by a fused affine+activation kernel that register-blocks four
 //! batch rows per pass. The f32 element type halves memory traffic on the
 //! dominant 64×64 layers and doubles the useful SIMD lane width, which is
-//! where the serving speedup comes from — the kernel shape itself mirrors
-//! the f64 [`matmul_into`](crate::matrix::Matrix::matmul_into) exemplar.
+//! where the serving speedup comes from. Like the f64
+//! [`matmul_into`](crate::matrix::Matrix::matmul_into) tile, the blocking
+//! fixes no element's accumulation order.
 //!
 //! Like the f64 kernels, every output element accumulates its `fan_in`
 //! terms in increasing order starting from the bias, regardless of batch

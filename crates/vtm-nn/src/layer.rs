@@ -211,8 +211,8 @@ impl Dense {
         Ok(())
     }
 
-    /// `z = input · W + b` into `z`, accumulated in the same k order as
-    /// `matmul` and with the bias added last, so bit-identical to `matmul`
+    /// `z = input · W + b` into `z`: the product kernel with the bias added
+    /// after each element's full `k` sum, so bit-identical to `matmul`
     /// followed by `add_row_broadcast`.
     fn affine(&self, input: &Matrix, z: &mut Matrix) -> Result<(), ShapeError> {
         if input.cols() != self.fan_in() {
@@ -222,18 +222,7 @@ impl Dense {
                 rhs: self.weights.shape(),
             });
         }
-        input
-            .matmul_into(&self.weights, z)
-            .expect("shape already checked");
-        let fan_out = self.fan_out();
-        let bias = self.bias.as_slice();
-        let data = z.as_mut_slice();
-        for i in 0..input.rows() {
-            for (v, &b) in data[i * fan_out..(i + 1) * fan_out].iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-        Ok(())
+        input.matmul_bias_into(&self.weights, &self.bias, z)
     }
 
     /// Fused backward kernel writing into caller-owned buffers.
@@ -245,15 +234,16 @@ impl Dense {
     /// `grad_pre` is scratch for `dL/dz`; `grads` is fully overwritten with
     /// the parameter gradients; when `grad_input` is `Some`, the gradient
     /// with respect to the layer input is written there (pass `None` for the
-    /// first layer to skip the unused product). No transpose is materialised:
-    /// `dL/dW = xᵀ · dZ` uses [`Matrix::matmul_at_b_into`] and `dL/dx = dZ ·
-    /// Wᵀ` uses [`Matrix::matmul_a_bt_into`], both bit-identical to
-    /// [`Dense::backward`].
+    /// first layer to skip the unused product). `dL/dW = xᵀ · dZ` uses
+    /// [`Matrix::matmul_at_b_into`]; `dL/dx = dZ · Wᵀ` copies `Wᵀ` into the
+    /// `weights_t` scratch and runs [`Matrix::matmul_into`]. Both are
+    /// bit-identical to [`Dense::backward`].
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] when `grad_output` does not match `pre`'s
-    /// shape or the cached shapes are inconsistent.
+    /// Returns a [`ShapeError`] when `pre`, `output` or `grad_output` is not
+    /// `batch x fan_out`, or `input` is not `batch x fan_in`, where `batch`
+    /// is `pre.rows()`.
     #[allow(clippy::too_many_arguments)] // backward kernel; every operand is a distinct cache
     pub fn backward_into(
         &self,
@@ -264,18 +254,28 @@ impl Dense {
         grad_pre: &mut Matrix,
         grads: &mut DenseGrads,
         grad_input: Option<&mut Matrix>,
+        weights_t: &mut Matrix,
     ) -> Result<(), ShapeError> {
+        let batch = pre.rows();
+        let outputs = (batch, self.fan_out());
+        let operands = [
+            (pre, outputs),
+            (output, outputs),
+            (grad_output, outputs),
+            (input, (batch, self.fan_in())),
+        ];
+        for (operand, expected) in operands {
+            if operand.shape() != expected {
+                return Err(ShapeError {
+                    op: "backward_into",
+                    lhs: operand.shape(),
+                    rhs: expected,
+                });
+            }
+        }
         // dL/dz = dL/da * f'(z), fused with the activation derivative so no
         // intermediate derivative matrix is materialised.
-        if grad_output.shape() != pre.shape() || output.shape() != pre.shape() {
-            return Err(ShapeError {
-                op: "backward_into",
-                lhs: grad_output.shape(),
-                rhs: pre.shape(),
-            });
-        }
-        let (batch, fan_out) = pre.shape();
-        grad_pre.resize(batch, fan_out);
+        grad_pre.resize(batch, self.fan_out());
         let act = self.activation;
         for (((g, &go), &z), &a) in grad_pre
             .as_mut_slice()
@@ -290,7 +290,8 @@ impl Dense {
         input.matmul_at_b_into(grad_pre, &mut grads.weights)?;
         grad_pre.sum_rows_into(&mut grads.bias);
         if let Some(gi) = grad_input {
-            grad_pre.matmul_a_bt_into(&self.weights, gi)?;
+            self.weights.transpose_into(weights_t);
+            grad_pre.matmul_into(weights_t, gi)?;
         }
         Ok(())
     }
@@ -454,6 +455,7 @@ mod tests {
         let mut grad_pre = Matrix::zeros(0, 0);
         let mut grads = DenseGrads::zeros_like(&l);
         let mut grad_input = Matrix::zeros(0, 0);
+        let mut weights_t = Matrix::zeros(0, 0);
         l.backward_into(
             &x,
             &pre,
@@ -462,23 +464,29 @@ mod tests {
             &mut grad_pre,
             &mut grads,
             Some(&mut grad_input),
+            &mut weights_t,
         )
         .unwrap();
         assert_eq!(grads.weights, grads_ref.weights);
         assert_eq!(grads.bias, grads_ref.bias);
         assert_eq!(grad_input, grad_input_ref);
+        assert_eq!(weights_t, l.weights().transpose());
 
-        // `None` skips the input gradient but still produces parameter grads.
+        // `None` skips the input gradient but still produces parameter
+        // grads. A mismatched upstream gradient, and an input whose batch or
+        // width differs from the forward pass's, are rejected.
         let mut grads2 = DenseGrads::zeros_like(&l);
-        l.backward_into(&x, &pre, &act, &grad_out, &mut grad_pre, &mut grads2, None)
-            .unwrap();
-        assert_eq!(grads2.weights, grads_ref.weights);
-
-        // Mismatched upstream gradient is rejected.
-        let bad = Matrix::zeros(2, 5);
-        assert!(l
-            .backward_into(&x, &pre, &act, &bad, &mut grad_pre, &mut grads, None)
-            .is_err());
+        let mut backward = |input: &Matrix, upstream: &Matrix| {
+            let (gp, wt) = (&mut grad_pre, &mut weights_t);
+            l.backward_into(input, &pre, &act, upstream, gp, &mut grads2, None, wt)?;
+            Ok::<_, ShapeError>(grads2.weights.clone())
+        };
+        assert_eq!(backward(&x, &grad_out).unwrap(), grads_ref.weights);
+        assert!(backward(&x, &Matrix::zeros(2, 5)).is_err());
+        for bad_input in [Matrix::zeros(2, 5), Matrix::zeros(3, 4)] {
+            let err = backward(&bad_input, &grad_out).unwrap_err();
+            assert_eq!((err.lhs, err.rhs), (bad_input.shape(), (2, 4)));
+        }
     }
 
     #[test]

@@ -249,19 +249,27 @@ impl Matrix {
 
     /// Matrix transpose.
     pub fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
+        let mut out = Self::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Matrix transpose written into a caller-owned buffer, resized in place.
+    /// A copy, not arithmetic: the backward pass packs `Wᵀ` with it so that
+    /// `dZ · Wᵀ` runs the same kernel as every other product.
+    pub fn transpose_into(&self, out: &mut Self) {
+        out.resize(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Matrix multiplication `self * rhs`.
     ///
     /// This is the simple reference kernel (row-major `i/k/j` loops); the
-    /// training hot path uses the register-blocked [`Matrix::matmul_into`],
+    /// training hot path uses the register-tiled [`Matrix::matmul_into`],
     /// which produces bit-identical results because every output element
     /// accumulates its `k` terms in the same increasing order.
     ///
@@ -295,214 +303,68 @@ impl Matrix {
     /// `out` is resized to `self.rows() x rhs.cols()`; when its backing vector
     /// already has enough capacity no allocation is performed, which makes
     /// this the building block of the allocation-free training kernels.
-    /// Accumulation runs in increasing-`k` order per output element, exactly
-    /// like [`Matrix::matmul`], so the result is bit-identical.
+    /// It runs the register-tiled product kernel, bit-identical to
+    /// [`Matrix::matmul`].
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] when `self.cols() != rhs.rows()`.
     pub fn matmul_into(&self, rhs: &Self, out: &mut Self) -> Result<(), ShapeError> {
-        if self.cols != rhs.rows {
-            return Err(ShapeError {
-                op: "matmul_into",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        out.resize(self.rows, rhs.cols);
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        // Four output rows per pass: `rhs` is streamed once per row *block*
-        // instead of once per row, quartering the memory traffic on the
-        // dominant square layers. Each output element still accumulates its
-        // `k` terms in increasing order, so results stay bit-identical to the
-        // naive kernel.
-        let mut i = 0;
-        while i + 4 <= m {
-            let (o01, o23) = out.data[i * n..(i + 4) * n].split_at_mut(2 * n);
-            let (o0, o1) = o01.split_at_mut(n);
-            let (o2, o3) = o23.split_at_mut(n);
-            o0.fill(0.0);
-            o1.fill(0.0);
-            o2.fill(0.0);
-            o3.fill(0.0);
-            for kk in 0..k {
-                let a0 = self.data[i * k + kk];
-                let a1 = self.data[(i + 1) * k + kk];
-                let a2 = self.data[(i + 2) * k + kk];
-                let a3 = self.data[(i + 3) * k + kk];
-                let b_row = &rhs.data[kk * n..(kk + 1) * n];
-                for ((((&b, o0), o1), o2), o3) in b_row
-                    .iter()
-                    .zip(o0.iter_mut())
-                    .zip(o1.iter_mut())
-                    .zip(o2.iter_mut())
-                    .zip(o3.iter_mut())
-                {
-                    *o0 += a0 * b;
-                    *o1 += a1 * b;
-                    *o2 += a2 * b;
-                    *o3 += a3 * b;
-                }
-            }
-            i += 4;
-        }
-        while i < m {
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            out_row.fill(0.0);
-            for kk in 0..k {
-                let a = self.data[i * k + kk];
-                let b_row = &rhs.data[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-            i += 1;
-        }
+        self.check_inner("matmul_into", self.cols, rhs)?;
+        gemm(self, false, rhs, None, out);
         Ok(())
     }
 
-    /// Transpose-free product `selfᵀ * rhs` written into a caller-owned buffer.
+    /// `self * rhs + bias` (the `1 x rhs.cols()` bias added to every row)
+    /// into a caller-owned buffer: [`Matrix::matmul_into`] with the bias
+    /// added to each element after its full `k` sum, so bit-identical to
+    /// [`Matrix::matmul`] followed by [`Matrix::add_row_broadcast`].
+    pub(crate) fn matmul_bias_into(
+        &self,
+        rhs: &Self,
+        bias: &Self,
+        out: &mut Self,
+    ) -> Result<(), ShapeError> {
+        self.check_inner("matmul_bias_into", self.cols, rhs)?;
+        if bias.shape() != (1, rhs.cols) {
+            return Err(ShapeError {
+                op: "matmul_bias_into",
+                lhs: rhs.shape(),
+                rhs: bias.shape(),
+            });
+        }
+        gemm(self, false, rhs, Some(&bias.data), out);
+        Ok(())
+    }
+
+    /// Product `selfᵀ * rhs` written into a caller-owned buffer.
     ///
     /// Equivalent to `self.transpose().matmul(rhs)` without materialising the
-    /// transpose: the backward pass uses it for `xᵀ · dZ`. Terms accumulate in
-    /// the same `k` order as the transpose-then-multiply path, so results are
-    /// bit-identical.
+    /// transpose: the product kernel reads `self` column-wise. The backward
+    /// pass uses it for `xᵀ · dZ`. Results are bit-identical to
+    /// transpose-then-multiply.
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] when `self.rows() != rhs.rows()`.
     pub fn matmul_at_b_into(&self, rhs: &Self, out: &mut Self) -> Result<(), ShapeError> {
-        if self.rows != rhs.rows {
-            return Err(ShapeError {
-                op: "matmul_at_b_into",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        out.resize(self.cols, rhs.cols);
-        out.data.fill(0.0);
-        let (batch, m, n) = (self.rows, self.cols, rhs.cols);
-        // Four output rows (columns of `self`) per pass so `rhs` is streamed
-        // once per block instead of once per output row; the reduction over
-        // `k` (the batch dimension) stays in increasing order per element,
-        // keeping the result bit-identical to transpose-then-multiply.
-        let mut i = 0;
-        while i + 4 <= m {
-            let (o01, o23) = out.data[i * n..(i + 4) * n].split_at_mut(2 * n);
-            let (o0, o1) = o01.split_at_mut(n);
-            let (o2, o3) = o23.split_at_mut(n);
-            for k in 0..batch {
-                let a_row = &self.data[k * m..(k + 1) * m];
-                let (a0, a1, a2, a3) = (a_row[i], a_row[i + 1], a_row[i + 2], a_row[i + 3]);
-                let b_row = &rhs.data[k * n..(k + 1) * n];
-                for ((((&b, o0), o1), o2), o3) in b_row
-                    .iter()
-                    .zip(o0.iter_mut())
-                    .zip(o1.iter_mut())
-                    .zip(o2.iter_mut())
-                    .zip(o3.iter_mut())
-                {
-                    *o0 += a0 * b;
-                    *o1 += a1 * b;
-                    *o2 += a2 * b;
-                    *o3 += a3 * b;
-                }
-            }
-            i += 4;
-        }
-        while i < m {
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for k in 0..batch {
-                let a = self.data[k * m + i];
-                let b_row = &rhs.data[k * n..(k + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-            i += 1;
-        }
+        self.check_inner("matmul_at_b_into", self.rows, rhs)?;
+        gemm(self, true, rhs, None, out);
         Ok(())
     }
 
-    /// Transpose-free product `self * rhsᵀ` written into a caller-owned buffer.
-    ///
-    /// Equivalent to `self.matmul(&rhs.transpose())` without materialising the
-    /// transpose: the backward pass uses it for `dZ · Wᵀ`. Each output element
-    /// is a dot product of two contiguous rows accumulated in increasing-`k`
-    /// order, bit-identical to the transpose-then-multiply path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] when `self.cols() != rhs.cols()`.
-    pub fn matmul_a_bt_into(&self, rhs: &Self, out: &mut Self) -> Result<(), ShapeError> {
-        if self.cols != rhs.cols {
-            return Err(ShapeError {
-                op: "matmul_a_bt_into",
+    /// The shape check of the products: the inner dimension `inner` of
+    /// `self` must equal `rhs.rows()`.
+    fn check_inner(&self, op: &'static str, inner: usize, rhs: &Self) -> Result<(), ShapeError> {
+        if inner == rhs.rows {
+            Ok(())
+        } else {
+            Err(ShapeError {
+                op,
                 lhs: self.shape(),
                 rhs: rhs.shape(),
-            });
+            })
         }
-        out.resize(self.rows, rhs.rows);
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        // 2x4 register blocking: eight independent accumulator chains hide
-        // the floating-point add latency a single running dot product would
-        // serialise on, and each `rhs` row block is streamed once per *pair*
-        // of output rows. Every output element still sums its `k` terms in
-        // increasing order, so results stay bit-identical to
-        // transpose-then-multiply.
-        let mut i = 0;
-        while i + 2 <= m {
-            let a0_row = &self.data[i * k..(i + 1) * k];
-            let a1_row = &self.data[(i + 1) * k..(i + 2) * k];
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &rhs.data[j * k..(j + 1) * k];
-                let b1 = &rhs.data[(j + 1) * k..(j + 2) * k];
-                let b2 = &rhs.data[(j + 2) * k..(j + 3) * k];
-                let b3 = &rhs.data[(j + 3) * k..(j + 4) * k];
-                let mut s = [0.0f64; 8];
-                for kk in 0..k {
-                    let a0 = a0_row[kk];
-                    let a1 = a1_row[kk];
-                    s[0] += a0 * b0[kk];
-                    s[1] += a0 * b1[kk];
-                    s[2] += a0 * b2[kk];
-                    s[3] += a0 * b3[kk];
-                    s[4] += a1 * b0[kk];
-                    s[5] += a1 * b1[kk];
-                    s[6] += a1 * b2[kk];
-                    s[7] += a1 * b3[kk];
-                }
-                out.data[i * n + j..i * n + j + 4].copy_from_slice(&s[..4]);
-                out.data[(i + 1) * n + j..(i + 1) * n + j + 4].copy_from_slice(&s[4..]);
-                j += 4;
-            }
-            while j < n {
-                let b_row = &rhs.data[j * k..(j + 1) * k];
-                let (mut s0, mut s1) = (0.0, 0.0);
-                for kk in 0..k {
-                    s0 += a0_row[kk] * b_row[kk];
-                    s1 += a1_row[kk] * b_row[kk];
-                }
-                out.data[i * n + j] = s0;
-                out.data[(i + 1) * n + j] = s1;
-                j += 1;
-            }
-            i += 2;
-        }
-        while i < m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &rhs.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                out.data[i * n + j] = acc;
-            }
-            i += 1;
-        }
-        Ok(())
     }
 
     /// Element-wise addition.
@@ -729,6 +591,113 @@ impl Matrix {
     }
 }
 
+/// Rows of the product kernel's output tile.
+const TILE_ROWS: usize = 4;
+/// Columns of the output tile: two 4-lane `f64` registers per row in an
+/// AVX2 build.
+const TILE_COLS: usize = 8;
+
+/// The left operand of [`gemm`]: element `(i, kk)` sits at
+/// `data[i * rs + kk * ks]`, so one kernel reads a matrix (`rs = cols`,
+/// `ks = 1`) or its transpose (`rs = 1`, `ks = cols`) without a copy.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f64],
+    rs: usize,
+    ks: usize,
+}
+
+/// The one `f64` product kernel: `out = A · b`, plus `bias` on every row when
+/// given, where `A` is `a` or, with `a_t`, `aᵀ`. Shapes are checked by the
+/// callers.
+///
+/// The output is cut into tiles of 4 rows × 8 columns (Goto & van de Geijn,
+/// "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 2008). A
+/// tile's 32 sums stay in registers while `kk` runs, so each `kk` loads one
+/// 8-wide slice of a row of `b` and four elements of `A`. Bands of 1–3 rows
+/// and the columns past the last full tile run the same loop, narrowed.
+/// Every element starts at `+0.0` and adds `A[i][kk] · b[kk][j]` in
+/// increasing `kk`, then the bias, exactly as [`Matrix::matmul`] and
+/// [`Matrix::add_row_broadcast`] do. The tile decides which elements share a
+/// register, never the roundings of one element, so each row of an `m`-row
+/// product equals the 1-row product of that row.
+fn gemm(a: &Matrix, a_t: bool, b: &Matrix, bias: Option<&[f64]>, out: &mut Matrix) {
+    let (m, rs, ks) = if a_t {
+        (a.cols, 1, a.cols)
+    } else {
+        (a.rows, a.cols, 1)
+    };
+    let lhs = Lhs {
+        data: &a.data,
+        rs,
+        ks,
+    };
+    out.resize(m, b.cols);
+    let mut i = 0;
+    while i < m {
+        let rows = TILE_ROWS.min(m - i);
+        match rows {
+            1 => band::<1>(lhs, i, b, bias, &mut out.data),
+            2 => band::<2>(lhs, i, b, bias, &mut out.data),
+            3 => band::<3>(lhs, i, b, bias, &mut out.data),
+            _ => band::<TILE_ROWS>(lhs, i, b, bias, &mut out.data),
+        }
+        i += rows;
+    }
+}
+
+/// Output rows `i..i + R` of [`gemm`]: full 8-column tiles, then the
+/// remaining columns one at a time.
+fn band<const R: usize>(a: Lhs, i: usize, b: &Matrix, bias: Option<&[f64]>, out: &mut [f64]) {
+    let n = b.cols;
+    let mut j = 0;
+    while j + TILE_COLS <= n {
+        store(&tile::<R, TILE_COLS>(a, i, b, j), i, j, n, bias, out);
+        j += TILE_COLS;
+    }
+    for j in j..n {
+        store(&tile::<R, 1>(a, i, b, j), i, j, n, bias, out);
+    }
+}
+
+/// The `R x C` sums of output rows `i..i + R`, columns `j..j + C`, each
+/// accumulated from `+0.0` in increasing `kk`.
+fn tile<const R: usize, const C: usize>(a: Lhs, i: usize, b: &Matrix, j: usize) -> [[f64; C]; R] {
+    let mut acc = [[0.0; C]; R];
+    for (kk, b_row) in b.data.chunks_exact(b.cols).enumerate() {
+        let b_k = &b_row[j..j + C];
+        for (r, sums) in acc.iter_mut().enumerate() {
+            let x = a.data[(i + r) * a.rs + kk * a.ks];
+            for (s, &y) in sums.iter_mut().zip(b_k) {
+                *s += x * y;
+            }
+        }
+    }
+    acc
+}
+
+/// Writes a tile's sums, plus the bias when given, into `out` (`n` columns).
+fn store<const R: usize, const C: usize>(
+    acc: &[[f64; C]; R],
+    i: usize,
+    j: usize,
+    n: usize,
+    bias: Option<&[f64]>,
+    out: &mut [f64],
+) {
+    for (r, sums) in acc.iter().enumerate() {
+        let dst = &mut out[(i + r) * n + j..][..C];
+        match bias {
+            Some(bias) => {
+                for ((o, &s), &b) in dst.iter_mut().zip(sums).zip(&bias[j..j + C]) {
+                    *o = s + b;
+                }
+            }
+            None => dst.copy_from_slice(sums),
+        }
+    }
+}
+
 impl Default for Matrix {
     /// The empty `0 x 0` matrix — the natural seed for reusable buffers that
     /// are later sized with [`Matrix::resize`] or the `_into` kernels.
@@ -875,42 +844,127 @@ mod tests {
         Matrix::from_vec(rows, cols, data).unwrap()
     }
 
+    /// Shapes that reach every path of the product kernel: bands of 1–4
+    /// rows, 8-column tiles, 1-column tails, empty operands and the paper
+    /// network's widths (12 inputs, 64 hidden units, 1 output, batch 20).
+    const TILE_MS: [usize; 9] = [0, 1, 2, 3, 4, 5, 8, 20, 37];
+    const TILE_KS: [usize; 5] = [0, 1, 7, 12, 64];
+    const TILE_NS: [usize; 6] = [0, 1, 7, 8, 9, 64];
+
+    /// Every `(m, k, n)` of the shape table, each with a finite operand pair
+    /// and with one holding `−0.0`, NaN and `±∞`.
+    fn tile_cases() -> impl Iterator<Item = (usize, usize, usize, bool)> {
+        TILE_MS.into_iter().flat_map(|m| {
+            TILE_KS.into_iter().flat_map(move |k| {
+                TILE_NS
+                    .into_iter()
+                    .flat_map(move |n| [false, true].map(|special| (m, k, n, special)))
+            })
+        })
+    }
+
+    /// [`pseudo_random`] with, when `special`, `−0.0`, NaN, `+∞` and `−∞`
+    /// at sparse positions, and one row that is all `−0.0` (a sum that
+    /// starts from the first product instead of `+0.0` reads `−0.0` there).
+    fn operand(rows: usize, cols: usize, seed: u64, special: bool) -> Matrix {
+        let mut m = pseudo_random(rows, cols, seed);
+        if special {
+            for (idx, v) in m.as_mut_slice().iter_mut().enumerate() {
+                match idx % 23 {
+                    _ if idx / cols == 1 => *v = -0.0,
+                    3 => *v = -0.0,
+                    9 => *v = f64::NAN,
+                    14 => *v = f64::INFINITY,
+                    20 => *v = f64::NEG_INFINITY,
+                    _ => {}
+                }
+            }
+        }
+        m
+    }
+
+    /// Bitwise equality, except that any NaN matches any NaN: which NaN
+    /// payload survives `NaN + NaN` is the compiler's operand order, not a
+    /// rounding.
+    fn assert_same_bits(got: &Matrix, want: &Matrix, case: &str) {
+        assert_eq!(got.shape(), want.shape(), "{case}: shape");
+        for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{case}: element {idx} is {g:e}, want {w:e}"
+            );
+        }
+    }
+
     #[test]
     fn matmul_into_matches_matmul_bitwise() {
-        let a = pseudo_random(5, 7, 1);
-        let b = pseudo_random(7, 4, 2);
-        let expected = a.matmul(&b).unwrap();
-        // Deliberately mis-shaped and dirty buffer: the kernel must resize
-        // and fully overwrite it.
-        let mut out = Matrix::filled(2, 9, f64::NAN);
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, expected);
-        // Reuse without reallocation is transparent to the result.
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, expected);
+        for (m, k, n, special) in tile_cases() {
+            let case = format!("{m}x{k} * {k}x{n}, special {special}");
+            let a = operand(m, k, 1 + m as u64, special);
+            let b = operand(k, n, 2 + n as u64, special);
+            let bias = operand(1, n, 3, special);
+            let expected = a.matmul(&b).unwrap();
+            // Deliberately mis-shaped and dirty buffer: the kernel must resize
+            // and fully overwrite it.
+            let mut out = Matrix::filled(2, 9, -7.5);
+            a.matmul_into(&b, &mut out).unwrap();
+            assert_same_bits(&out, &expected, &case);
+            // Reuse without reallocation is transparent to the result.
+            a.matmul_into(&b, &mut out).unwrap();
+            assert_same_bits(&out, &expected, &case);
+            // The bias variant adds the bias after the full sum.
+            let mut with_bias = Matrix::filled(3, 1, -7.5);
+            a.matmul_bias_into(&b, &bias, &mut with_bias).unwrap();
+            let want = expected.add_row_broadcast(&bias).unwrap();
+            assert_same_bits(&with_bias, &want, &case);
+            // Batch slicing: each row equals the 1-row product of that row.
+            let mut single = Matrix::zeros(0, 0);
+            for i in 0..m {
+                let row = Matrix::row_vector(a.row(i));
+                row.matmul_bias_into(&b, &bias, &mut single).unwrap();
+                assert_same_bits(&single, &Matrix::row_vector(want.row(i)), &case);
+            }
+        }
+        let (a, mut out) = (pseudo_random(5, 7, 1), Matrix::zeros(0, 0));
         assert!(a.matmul_into(&Matrix::zeros(3, 3), &mut out).is_err());
+        let bad_bias = Matrix::zeros(1, 3);
+        assert!(a
+            .matmul_bias_into(&Matrix::zeros(7, 4), &bad_bias, &mut out)
+            .is_err());
     }
 
     #[test]
     fn matmul_at_b_into_matches_transpose_then_matmul() {
-        let a = pseudo_random(6, 3, 3);
-        let b = pseudo_random(6, 5, 4);
-        let expected = a.transpose().matmul(&b).unwrap();
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_at_b_into(&b, &mut out).unwrap();
-        assert_eq!(out, expected);
+        for (m, k, n, special) in tile_cases() {
+            let case = format!("({k}x{m})T * {k}x{n}, special {special}");
+            let a = operand(k, m, 3 + m as u64, special);
+            let b = operand(k, n, 4 + n as u64, special);
+            let expected = a.transpose().matmul(&b).unwrap();
+            let mut out = Matrix::filled(1, 3, -7.5);
+            a.matmul_at_b_into(&b, &mut out).unwrap();
+            assert_same_bits(&out, &expected, &case);
+        }
+        let (a, mut out) = (pseudo_random(6, 3, 3), Matrix::zeros(0, 0));
         assert!(a.matmul_at_b_into(&Matrix::zeros(5, 2), &mut out).is_err());
     }
 
     #[test]
-    fn matmul_a_bt_into_matches_matmul_with_transpose() {
-        let a = pseudo_random(4, 6, 5);
-        let b = pseudo_random(3, 6, 6);
-        let expected = a.matmul(&b.transpose()).unwrap();
-        let mut out = Matrix::zeros(1, 1);
-        a.matmul_a_bt_into(&b, &mut out).unwrap();
-        assert_eq!(out, expected);
-        assert!(a.matmul_a_bt_into(&Matrix::zeros(3, 2), &mut out).is_err());
+    fn transpose_into_then_matmul_into_matches_matmul_with_transpose() {
+        // `dZ · Wᵀ` in the backward pass: pack `bᵀ`, then the same kernel.
+        let cases = tile_cases().map(|(m, k, n, special)| {
+            let a = operand(m, k, 5 + m as u64, special);
+            (a, operand(n, k, 6 + n as u64, special), special)
+        });
+        let old_case = (pseudo_random(4, 6, 5), pseudo_random(3, 6, 6), false);
+        let (mut bt, mut out) = (Matrix::filled(2, 2, -7.5), Matrix::filled(1, 1, -7.5));
+        for (a, b, special) in cases.chain([old_case]) {
+            let case = format!("{:?} * ({:?})T, special {special}", a.shape(), b.shape());
+            let expected = a.matmul(&b.transpose()).unwrap();
+            b.transpose_into(&mut bt);
+            assert_eq!(bt.shape(), (b.cols(), b.rows()), "{case}");
+            a.matmul_into(&bt, &mut out).unwrap();
+            assert_same_bits(&out, &expected, &case);
+        }
     }
 
     #[test]

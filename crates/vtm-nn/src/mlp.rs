@@ -221,6 +221,9 @@ pub struct TrainWorkspace {
     grad_pre: Vec<Matrix>,
     /// Per-layer `dL/d(input of layer)` scratch for the backward pass.
     grad_act: Vec<Matrix>,
+    /// Per-layer `Wᵀ`, copied once per backward pass so that `dZ · Wᵀ`
+    /// runs the same product kernel as every other product.
+    weights_t: Vec<Matrix>,
     /// Batch size of the last forward pass (guards backward consistency).
     batch: usize,
 }
@@ -248,6 +251,7 @@ impl TrainWorkspace {
         self.act.resize_with(n, || Matrix::zeros(0, 0));
         self.grad_pre.resize_with(n, || Matrix::zeros(0, 0));
         self.grad_act.resize_with(n, || Matrix::zeros(0, 0));
+        self.weights_t.resize_with(n, || Matrix::zeros(0, 0));
     }
 }
 
@@ -466,6 +470,7 @@ impl Mlp {
                 &mut ws.grad_pre[idx],
                 &mut grads.layers[idx],
                 grad_input,
+                &mut ws.weights_t[idx],
             )?;
         }
         Ok(())
@@ -714,6 +719,13 @@ mod tests {
             assert_eq!(a.weights, b.weights);
             assert_eq!(a.bias, b.bias);
         }
+        // An input of the forward batch but the wrong width is rejected
+        // instead of becoming a mis-shaped layer-0 weight gradient.
+        let wide = Matrix::zeros(1, 5);
+        let err = n
+            .backward_ws(&wide, &mut ws, &grad_out2, &mut grads)
+            .unwrap_err();
+        assert_eq!((err.lhs, err.rhs), ((1, 5), (1, 3)));
     }
 
     #[test]
