@@ -257,7 +257,7 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> Result<ServeBenchResult, Str
         t => t,
     };
     // The batched service fans its forward pass out across cores; the
-    // per-request baseline is inherently one row-vector pass per call.
+    // per-request baseline is one single-row forward pass per call.
     let service_config =
         ServiceConfig::new(build.history_length, features).with_inference_threads(resolved_threads);
     let make_service = || {

@@ -28,7 +28,7 @@ fn batched_and_per_request_quotes_agree() {
 /// Acceptance criterion: batched inference serves at least 2x the
 /// per-request quote throughput on a multi-core machine (the batched path
 /// fans one matrix forward pass out across cores; the per-request baseline
-/// is one row-vector pass per call).
+/// is one single-row forward pass per call).
 #[test]
 #[ignore = "wall-clock assertion; needs a multi-core machine, run explicitly in --release"]
 fn batched_inference_is_at_least_2x_per_request_throughput() {

@@ -46,8 +46,9 @@ pub enum ArmSpecError {
     /// An arm name is empty, repeated, or has a character outside ASCII
     /// letters, digits, `-` and `_`.
     BadName(String),
-    /// The percentages do not sum to 100.
-    BadSplit(u32),
+    /// The percentages do not sum to 100 (carries their true sum, which
+    /// may exceed `u32::MAX`).
+    BadSplit(u64),
     /// A `name=percent` token failed to parse.
     BadToken(String),
 }
@@ -130,7 +131,7 @@ impl ArmTable {
                 return Err(ArmSpecError::BadName(arm.name.clone()));
             }
         }
-        let sum: u32 = arms.iter().map(|a| a.percent).sum();
+        let sum: u64 = arms.iter().map(|a| u64::from(a.percent)).sum();
         if sum != 100 {
             return Err(ArmSpecError::BadSplit(sum));
         }
@@ -209,6 +210,18 @@ mod tests {
             ArmTable::new(vec![ArmSpec::new("a", 50), ArmSpec::new("b", 49)]),
             Err(ArmSpecError::BadSplit(99))
         ));
+        // Sums past u32::MAX are rejected with their true value, not
+        // wrapped (to 100 or 0).
+        for (spec, sum) in [
+            ("a=4294967196,b=200", 4_294_967_396),
+            ("a=4294967295,b=1", 4_294_967_296),
+        ] {
+            assert_eq!(
+                ArmTable::new(parse_arms(spec).unwrap()).unwrap_err(),
+                ArmSpecError::BadSplit(sum),
+                "{spec}"
+            );
+        }
         let table = ArmTable::new(vec![ArmSpec::new("a", 100)]).unwrap();
         for session in 0..256 {
             assert_eq!(table.arm_of(session), 0);

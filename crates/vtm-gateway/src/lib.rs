@@ -60,13 +60,13 @@
 //!
 //! # Determinism contract
 //!
-//! With a **single executor** and **greedy** inference, gateway output for
-//! a given request sequence is bit-identical to calling
+//! With a **single executor**, gateway output for a given request sequence
+//! is bit-identical to calling
 //! [`PricingService::quote_batch`](vtm_serve::PricingService::quote_batch)
 //! on the same sequence, *no matter how the executor happens to slice it
 //! into batches*: per-session history updates apply in submission order
 //! (single FIFO ingress), batch assembly never changes a forward pass's
-//! row values, and greedy quotes depend only on the assembled observation.
+//! row values, and quotes depend only on the assembled observation.
 //! `tests/determinism.rs` pins this with FNV digests.
 //!
 //! # Example

@@ -478,6 +478,26 @@ mod tests {
                 source: CodecError::BadMagic { .. }
             })
         ));
+        // A checksum-valid frame whose feature count no payload can hold:
+        // a typed error whose `needed` is not wrapped below `available`.
+        let mut hostile = PayloadWriter::new();
+        hostile.write_u64(1);
+        hostile.write_u64(4);
+        hostile.write_usize(usize::MAX / 8);
+        let mut corrupt = bytes[..frame_len].to_vec();
+        corrupt.extend_from_slice(&WeightCodec::encode(
+            KIND_JOURNAL_FRAME,
+            &hostile.into_bytes(),
+        ));
+        for mode in [ScanMode::Strict, ScanMode::RecoverTail] {
+            match scan_journal_bytes(&corrupt, mode) {
+                Err(JournalError::Frame {
+                    index: 1,
+                    source: CodecError::Truncated { needed, available },
+                }) => assert!(needed >= available, "{needed} < {available}"),
+                other => panic!("{mode:?}: expected a Truncated frame 1, got {other:?}"),
+            }
+        }
         // An empty journal is valid and holds no frames.
         let scanned = scan_journal_bytes(&[], ScanMode::Strict).unwrap();
         assert!(scanned.frames.is_empty());

@@ -392,10 +392,7 @@ impl<'a> PayloadReader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
-            return Err(CodecError::Truncated {
-                needed: self.pos + n,
-                available: self.bytes.len(),
-            });
+            return Err(self.truncated(n));
         }
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
@@ -507,16 +504,21 @@ impl<'a> PayloadReader<'a> {
     /// so a corrupted length prefix fails fast instead of attempting a huge
     /// allocation.
     fn check_capacity(&self, elements: usize) -> Result<(), CodecError> {
-        let needed = elements
-            .checked_mul(8)
-            .ok_or_else(|| CodecError::Invalid(format!("length {elements} overflows")))?;
+        let needed = elements.saturating_mul(8);
         if needed > self.remaining() {
-            return Err(CodecError::Truncated {
-                needed: self.pos + needed,
-                available: self.bytes.len(),
-            });
+            return Err(self.truncated(needed));
         }
         Ok(())
+    }
+
+    /// The error for a read of `n` more bytes than remain. The sum
+    /// saturates: `n` comes from a length prefix in the input, so it can be
+    /// anything up to `usize::MAX`.
+    fn truncated(&self, n: usize) -> CodecError {
+        CodecError::Truncated {
+            needed: self.pos.saturating_add(n),
+            available: self.bytes.len(),
+        }
     }
 }
 
@@ -648,14 +650,43 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_rejected_without_allocating() {
-        let mut w = PayloadWriter::new();
-        w.write_usize(usize::MAX / 2);
-        let bytes = w.into_bytes();
-        let mut r = PayloadReader::new(&bytes);
-        assert!(matches!(
-            r.read_f64_vec(),
-            Err(CodecError::Truncated { .. }) | Err(CodecError::Invalid(_))
-        ));
+        type Read = fn(&mut PayloadReader<'_>) -> Result<(), CodecError>;
+        let readers: [(&str, Read); 4] = [
+            ("read_bytes", |r| r.read_bytes().map(drop)),
+            ("read_f64_vec", |r| r.read_f64_vec().map(drop)),
+            ("read_usize_vec", |r| r.read_usize_vec().map(drop)),
+            // A column vector: the row count is the hostile prefix.
+            ("read_matrix", |r| r.read_matrix().map(drop)),
+        ];
+        let prefixes = [usize::MAX, usize::MAX - 1, usize::MAX / 8, usize::MAX / 2];
+        for (name, read) in readers {
+            for prefix in prefixes {
+                // At pos 0 the prefix is the first word; past it, one u64
+                // precedes it.
+                for lead in [0usize, 1] {
+                    let mut w = PayloadWriter::new();
+                    for _ in 0..lead {
+                        w.write_u64(7);
+                    }
+                    w.write_usize(prefix);
+                    if name == "read_matrix" {
+                        w.write_usize(1);
+                    }
+                    let bytes = w.into_bytes();
+                    let mut r = PayloadReader::new(&bytes);
+                    for _ in 0..lead {
+                        r.read_u64().unwrap();
+                    }
+                    match read(&mut r) {
+                        Err(CodecError::Truncated { needed, available }) => assert!(
+                            needed >= available,
+                            "{name}, prefix {prefix}, lead {lead}: needed {needed} < {available}"
+                        ),
+                        other => panic!("{name}, prefix {prefix}, lead {lead}: got {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

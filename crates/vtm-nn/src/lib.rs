@@ -14,8 +14,8 @@
 //!   with explicit forward/backward passes,
 //! * [`inference::InferenceModel`] — a frozen network converted once to
 //!   contiguous f32 blocks for the serving fast path (training stays f64),
-//! * [`optimizer`] — SGD and Adam,
-//! * [`loss`] — MSE and Huber losses with gradients,
+//! * [`optimizer`] — Adam, for networks and for flat parameter vectors,
+//! * [`loss`] — the MSE loss with its gradient,
 //! * [`gradcheck`] — numerical gradient checking used by the test suites.
 //!
 //! # Example
@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::layer::{Dense, DenseGrads};
     pub use crate::matrix::{Matrix, ShapeError};
     pub use crate::mlp::{Mlp, MlpConfig, MlpGrads, TrainWorkspace};
-    pub use crate::optimizer::{Adam, Optimizer, Sgd, VectorAdam};
+    pub use crate::optimizer::{Adam, VectorAdam};
 }
 
 #[cfg(test)]

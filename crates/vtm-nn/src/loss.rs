@@ -1,4 +1,4 @@
-//! Scalar loss functions with analytic gradients.
+//! The mean-squared-error loss with its analytic gradient.
 
 use crate::matrix::{Matrix, ShapeError};
 
@@ -20,59 +20,6 @@ pub fn mse(prediction: &Matrix, target: &Matrix) -> Result<f64, ShapeError> {
 pub fn mse_grad(prediction: &Matrix, target: &Matrix) -> Result<Matrix, ShapeError> {
     let n = prediction.len().max(1) as f64;
     Ok(prediction.sub_elem(target)?.scale(2.0 / n))
-}
-
-/// Huber (smooth-L1) loss with threshold `delta`, averaged over all elements.
-///
-/// The Huber loss behaves quadratically for residuals smaller than `delta`
-/// and linearly beyond it, which makes value-function regression robust to
-/// outlier returns.
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] when the shapes differ.
-///
-/// # Panics
-///
-/// Panics if `delta` is not positive.
-pub fn huber(prediction: &Matrix, target: &Matrix, delta: f64) -> Result<f64, ShapeError> {
-    assert!(delta > 0.0, "huber delta must be positive");
-    let diff = prediction.sub_elem(target)?;
-    let total: f64 = diff
-        .as_slice()
-        .iter()
-        .map(|&d| {
-            let a = d.abs();
-            if a <= delta {
-                0.5 * d * d
-            } else {
-                delta * (a - 0.5 * delta)
-            }
-        })
-        .sum();
-    Ok(total / prediction.len().max(1) as f64)
-}
-
-/// Gradient of [`huber`] with respect to `prediction`.
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] when the shapes differ.
-///
-/// # Panics
-///
-/// Panics if `delta` is not positive.
-pub fn huber_grad(prediction: &Matrix, target: &Matrix, delta: f64) -> Result<Matrix, ShapeError> {
-    assert!(delta > 0.0, "huber delta must be positive");
-    let n = prediction.len().max(1) as f64;
-    let diff = prediction.sub_elem(target)?;
-    Ok(diff.map(|d| {
-        if d.abs() <= delta {
-            d / n
-        } else {
-            delta * d.signum() / n
-        }
-    }))
 }
 
 #[cfg(test)]
@@ -112,43 +59,9 @@ mod tests {
     }
 
     #[test]
-    fn huber_equals_mse_half_inside_delta() {
-        let p = Matrix::from_rows(&[&[0.3, -0.4]]).unwrap();
-        let t = Matrix::zeros(1, 2);
-        let h = huber(&p, &t, 1.0).unwrap();
-        let expected = 0.5 * (0.09 + 0.16) / 2.0;
-        assert!((h - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn huber_is_linear_outside_delta() {
-        let p = Matrix::from_rows(&[&[10.0]]).unwrap();
-        let t = Matrix::zeros(1, 1);
-        let h = huber(&p, &t, 1.0).unwrap();
-        assert!((h - (10.0 - 0.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn huber_grad_matches_finite_difference() {
-        let p = Matrix::from_rows(&[&[0.3, -3.0, 1.2]]).unwrap();
-        let t = Matrix::from_rows(&[&[0.0, 0.0, 0.0]]).unwrap();
-        let g = huber_grad(&p, &t, 1.0).unwrap();
-        let h = 1e-6;
-        for c in 0..3 {
-            let mut pp = p.clone();
-            pp[(0, c)] += h;
-            let mut pm = p.clone();
-            pm[(0, c)] -= h;
-            let numeric = (huber(&pp, &t, 1.0).unwrap() - huber(&pm, &t, 1.0).unwrap()) / (2.0 * h);
-            assert!((numeric - g[(0, c)]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn shape_mismatch_is_reported() {
         let a = Matrix::zeros(1, 2);
         let b = Matrix::zeros(2, 1);
         assert!(mse(&a, &b).is_err());
-        assert!(huber(&a, &b, 1.0).is_err());
     }
 }

@@ -1,108 +1,9 @@
-//! First-order gradient optimizers operating on [`Mlp`] parameters.
+//! Adam (Kingma & Ba, 2015) for [`Mlp`] parameters and for flat `f64`
+//! parameter vectors.
 
 use crate::codec::{CodecError, PayloadReader, PayloadWriter};
 use crate::matrix::Matrix;
 use crate::mlp::{Mlp, MlpGrads};
-
-/// An optimizer applies parameter updates to an [`Mlp`] given gradients of a
-/// scalar loss. Updates follow the *descent* convention: the loss decreases
-/// along `-gradient` (callers maximising an objective should negate gradients).
-pub trait Optimizer {
-    /// Applies one update step.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `grads` does not match the network's
-    /// parameter shapes (this indicates a programming error, not a data error).
-    fn step(&mut self, net: &mut Mlp, grads: &MlpGrads);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Overrides the learning rate (used by schedules).
-    fn set_learning_rate(&mut self, lr: f64);
-
-    /// Resets any accumulated internal state (moments, step counters).
-    fn reset(&mut self);
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sgd {
-    learning_rate: f64,
-    momentum: f64,
-    velocity: Vec<(Matrix, Matrix)>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `learning_rate` is not finite and positive or `momentum` is
-    /// outside `[0, 1)`.
-    pub fn new(learning_rate: f64, momentum: f64) -> Self {
-        assert!(
-            learning_rate.is_finite() && learning_rate > 0.0,
-            "learning rate must be positive"
-        );
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        Self {
-            learning_rate,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    fn ensure_state(&mut self, net: &Mlp) {
-        if self.velocity.len() != net.layers().len() {
-            self.velocity = net
-                .layers()
-                .iter()
-                .map(|l| {
-                    (
-                        Matrix::zeros(l.fan_in(), l.fan_out()),
-                        Matrix::zeros(1, l.fan_out()),
-                    )
-                })
-                .collect();
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Mlp, grads: &MlpGrads) {
-        self.ensure_state(net);
-        for (idx, layer) in net.layers_mut().iter_mut().enumerate() {
-            let g = &grads.layers[idx];
-            let (vw, vb) = &mut self.velocity[idx];
-            *vw = vw.scale(self.momentum);
-            vw.axpy(1.0, &g.weights).expect("sgd weight shape mismatch");
-            *vb = vb.scale(self.momentum);
-            vb.axpy(1.0, &g.bias).expect("sgd bias shape mismatch");
-            layer
-                .weights_mut()
-                .axpy(-self.learning_rate, vw)
-                .expect("sgd weight shape mismatch");
-            layer
-                .bias_mut()
-                .axpy(-self.learning_rate, vb)
-                .expect("sgd bias shape mismatch");
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.learning_rate = lr;
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-}
 
 /// Adam optimizer (Kingma & Ba, 2015), the optimizer used for the paper's PPO
 /// actor-critic networks.
@@ -168,6 +69,72 @@ impl Adam {
             self.second_moment = zeros;
             self.step = 0;
         }
+    }
+
+    /// Applies one update step. Updates follow the *descent* convention:
+    /// the loss decreases along `-gradient` (callers maximising an
+    /// objective negate gradients).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads` does not match the network's parameter shapes
+    /// (a programming error, not a data error).
+    pub fn step(&mut self, net: &mut Mlp, grads: &MlpGrads) {
+        self.ensure_state(net);
+        self.step = self.step.saturating_add(1);
+        let bias1 = bias_correction(self.beta1, self.step);
+        let bias2 = bias_correction(self.beta2, self.step);
+        for (idx, layer) in net.layers_mut().iter_mut().enumerate() {
+            let g = &grads.layers[idx];
+            assert_eq!(
+                g.weights.shape(),
+                layer.weights().shape(),
+                "adam gradient shape mismatch"
+            );
+            let (mw, mb) = &mut self.first_moment[idx];
+            let (vw, vb) = &mut self.second_moment[idx];
+            Self::update_matrix(
+                layer.weights_mut(),
+                &g.weights,
+                mw,
+                vw,
+                self.learning_rate,
+                self.beta1,
+                self.beta2,
+                self.epsilon,
+                bias1,
+                bias2,
+            );
+            Self::update_matrix(
+                layer.bias_mut(),
+                &g.bias,
+                mb,
+                vb,
+                self.learning_rate,
+                self.beta1,
+                self.beta2,
+                self.epsilon,
+                bias1,
+                bias2,
+            );
+        }
+    }
+
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f64 {
+        self.learning_rate
+    }
+
+    /// Overrides the learning rate.
+    pub fn set_learning_rate(&mut self, lr: f64) {
+        self.learning_rate = lr;
+    }
+
+    /// Resets the accumulated moments and step counter.
+    pub fn reset(&mut self) {
+        self.first_moment.clear();
+        self.second_moment.clear();
+        self.step = 0;
     }
 
     /// Whether the optimizer's moment state is compatible with `net`: either
@@ -462,63 +429,6 @@ impl VectorAdam {
     }
 }
 
-impl Optimizer for Adam {
-    fn step(&mut self, net: &mut Mlp, grads: &MlpGrads) {
-        self.ensure_state(net);
-        self.step = self.step.saturating_add(1);
-        let bias1 = bias_correction(self.beta1, self.step);
-        let bias2 = bias_correction(self.beta2, self.step);
-        for (idx, layer) in net.layers_mut().iter_mut().enumerate() {
-            let g = &grads.layers[idx];
-            assert_eq!(
-                g.weights.shape(),
-                layer.weights().shape(),
-                "adam gradient shape mismatch"
-            );
-            let (mw, mb) = &mut self.first_moment[idx];
-            let (vw, vb) = &mut self.second_moment[idx];
-            Self::update_matrix(
-                layer.weights_mut(),
-                &g.weights,
-                mw,
-                vw,
-                self.learning_rate,
-                self.beta1,
-                self.beta2,
-                self.epsilon,
-                bias1,
-                bias2,
-            );
-            Self::update_matrix(
-                layer.bias_mut(),
-                &g.bias,
-                mb,
-                vb,
-                self.learning_rate,
-                self.beta1,
-                self.beta2,
-                self.epsilon,
-                bias1,
-                bias2,
-            );
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.learning_rate = lr;
-    }
-
-    fn reset(&mut self) {
-        self.first_moment.clear();
-        self.second_moment.clear();
-        self.step = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,7 +438,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// Trains `net` to fit y = f(x) on a fixed batch and returns the final MSE.
-    fn train_regression<O: Optimizer>(opt: &mut O, steps: usize, seed: u64) -> f64 {
+    fn train_regression(opt: &mut Adam, steps: usize, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut net = MlpConfig::new(1, &[16], 1)
             .hidden_activation(Activation::Tanh)
@@ -548,13 +458,6 @@ mod tests {
             opt.step(&mut net, &grads);
         }
         last_mse
-    }
-
-    #[test]
-    fn sgd_reduces_regression_loss() {
-        let mut opt = Sgd::new(0.1, 0.9);
-        let mse = train_regression(&mut opt, 300, 1);
-        assert!(mse < 1e-3, "sgd failed to fit linear target, mse = {mse}");
     }
 
     #[test]
@@ -579,9 +482,6 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.001);
         opt.set_learning_rate(0.1);
         assert_eq!(opt.learning_rate(), 0.1);
-        let mut sgd = Sgd::new(0.5, 0.0);
-        sgd.set_learning_rate(0.25);
-        assert_eq!(sgd.learning_rate(), 0.25);
     }
 
     #[test]
@@ -646,12 +546,6 @@ mod tests {
         let mut opt = VectorAdam::new(0.1, 2);
         let mut params = [0.0];
         opt.step(&mut params, &[1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum must be in [0,1)")]
-    fn sgd_rejects_bad_momentum() {
-        let _ = Sgd::new(0.1, 1.5);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use vtm_nn::inference::InferenceModel;
 use vtm_nn::loss::mse_grad;
 use vtm_nn::matrix::Matrix;
 use vtm_nn::mlp::{Mlp, MlpConfig, MlpGrads, TrainWorkspace};
-use vtm_nn::optimizer::{Adam, Optimizer};
+use vtm_nn::optimizer::Adam;
 
 /// Input width of the pinned network.
 const INPUT: usize = 12;

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use vtm_nn::matrix::Matrix;
 use vtm_nn::mlp::{Mlp, MlpConfig, MlpGrads, TrainWorkspace};
-use vtm_nn::optimizer::{Adam, Optimizer};
+use vtm_nn::optimizer::Adam;
 
 /// The system allocator, counting allocations made while armed.
 struct Counting;

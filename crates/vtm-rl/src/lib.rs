@@ -18,6 +18,7 @@
 //! use vtm_rl::prelude::*;
 //!
 //! // A one-step environment: reward is highest when the action is 0.25.
+//! #[derive(Clone)]
 //! struct Toy;
 //! impl Environment for Toy {
 //!     fn observation_dim(&self) -> usize { 1 }
@@ -28,18 +29,21 @@
 //!     }
 //! }
 //!
-//! let mut env = Toy;
 //! let config = PpoConfig::new(1, 1).with_seed(1);
-//! let mut agent = PpoAgent::new(config, env.action_space());
-//! // One tiny training iteration (a real run uses many more).
-//! let history = agent.train(&mut env, 1, 4, 1);
-//! assert_eq!(history.len(), 1);
+//! let mut agent = PpoAgent::new(config, Toy.action_space());
+//! // One tiny training round of 4 episodes (a real run uses many more).
+//! let report = Trainer::for_env(Toy)
+//!     .episodes(4)
+//!     .collectors(4)
+//!     .max_steps(1)
+//!     .run(&mut agent)
+//!     .unwrap();
+//! assert_eq!(report.rounds, 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agents;
 pub mod buffer;
 pub mod distribution;
 pub mod env;
@@ -52,15 +56,12 @@ pub mod vec_env;
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
-    pub use crate::agents::{
-        run_simple_agent, EpsilonGreedyBandit, FixedAgent, RandomAgent, SimpleAgent,
-    };
     pub use crate::buffer::{ProcessedSample, RolloutBuffer, Transition};
     pub use crate::distribution::DiagGaussian;
     pub use crate::env::{ActionSpace, Environment, Step};
     pub use crate::gae::{discounted_returns, gae_advantages, normalize_advantages};
     pub use crate::ppo::{ActionSample, PpoAgent, PpoConfig, PpoUpdateStats};
-    pub use crate::running_stat::{LinearSchedule, RunningMeanStd};
+    pub use crate::running_stat::RunningMeanStd;
     pub use crate::snapshot::{PolicySnapshot, SnapshotError};
     pub use crate::trainer::{EpisodeEvent, Trainer, TrainerReport};
     pub use crate::vec_env::{

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use rand::seq::SliceRandom;
 use vtm_nn::matrix::Matrix;
 use vtm_nn::mlp::{Mlp, MlpConfig, MlpGrads, TrainWorkspace};
-use vtm_nn::optimizer::{Adam, Optimizer, VectorAdam};
+use vtm_nn::optimizer::{Adam, VectorAdam};
 
 use crate::buffer::{ProcessedSample, RolloutBuffer, Transition};
 use crate::distribution::DiagGaussian;
@@ -878,38 +878,6 @@ impl PpoAgent {
         }
         returns
     }
-
-    /// Convenience training loop: repeatedly collects `episodes_per_iteration`
-    /// episodes, updates the agent and records the mean episode return.
-    ///
-    /// Returns the mean return of every iteration, in order. This generic loop
-    /// backs the crate-level tests; the paper's Algorithm 1 loop (with its
-    /// best-utility tracking) lives in `vtm-core`.
-    pub fn train<E: Environment>(
-        &mut self,
-        env: &mut E,
-        iterations: usize,
-        episodes_per_iteration: usize,
-        max_steps: usize,
-    ) -> Vec<f64> {
-        let mut history = Vec::with_capacity(iterations);
-        for _ in 0..iterations {
-            let mut buffer = RolloutBuffer::new();
-            let returns =
-                self.collect_episodes(env, episodes_per_iteration, max_steps, &mut buffer);
-            let terminal_value = 0.0;
-            let samples = buffer.process(
-                self.config.gamma,
-                self.config.gae_lambda,
-                terminal_value,
-                self.config.normalize_advantages,
-            );
-            self.update(&samples);
-            let mean_return = returns.iter().sum::<f64>() / returns.len().max(1) as f64;
-            history.push(mean_return);
-        }
-        history
-    }
 }
 
 impl ActorHalf<'_> {
@@ -1053,8 +1021,10 @@ impl CriticHalf<'_> {
 mod tests {
     use super::*;
     use crate::env::Step;
+    use crate::trainer::Trainer;
 
     /// A stateless continuous bandit: reward peaks when the action hits `target`.
+    #[derive(Clone)]
     struct Bandit {
         target: f64,
         space: ActionSpace,
@@ -1205,7 +1175,7 @@ mod tests {
 
     #[test]
     fn ppo_improves_on_continuous_bandit() {
-        let mut env = Bandit {
+        let env = Bandit {
             target: 7.0,
             space: ActionSpace::scalar(0.0, 10.0),
         };
@@ -1222,7 +1192,13 @@ mod tests {
             let a = agent.act_deterministic(&[1.0, 0.0]);
             1.0 - ((a[0] - 7.0) / 10.0).powi(2)
         };
-        let history = agent.train(&mut env, 60, 16, 1);
+        let history = Trainer::for_env(env)
+            .episodes(60 * 16)
+            .collectors(16)
+            .max_steps(1)
+            .run(&mut agent)
+            .unwrap()
+            .episode_returns;
         let after: f64 = {
             let a = agent.act_deterministic(&[1.0, 0.0]);
             1.0 - ((a[0] - 7.0) / 10.0).powi(2)
@@ -1230,7 +1206,7 @@ mod tests {
         assert!(
             after > before || after > 0.995,
             "PPO did not improve: before {before}, after {after}, history tail {:?}",
-            &history[history.len().saturating_sub(5)..]
+            &history[history.len().saturating_sub(16)..]
         );
         // The policy mean should have moved towards the target.
         let final_action = agent.act_deterministic(&[1.0, 0.0])[0];

@@ -1,4 +1,4 @@
-//! Streaming statistics and simple hyper-parameter schedules.
+//! Streaming observation statistics.
 
 /// Numerically stable streaming mean / variance (Welford's algorithm) over
 /// vectors, used for optional observation normalisation.
@@ -106,37 +106,6 @@ impl RunningMeanStd {
     }
 }
 
-/// A linear schedule interpolating from `start` to `end` over `steps` calls,
-/// used for learning-rate and exploration annealing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearSchedule {
-    start: f64,
-    end: f64,
-    steps: usize,
-}
-
-impl LinearSchedule {
-    /// Creates a schedule. A `steps` of zero yields a constant `end` value.
-    pub fn new(start: f64, end: f64, steps: usize) -> Self {
-        Self { start, end, steps }
-    }
-
-    /// Creates a constant schedule.
-    pub fn constant(value: f64) -> Self {
-        Self::new(value, value, 0)
-    }
-
-    /// Value at step `t` (clamped to the end value after `steps`).
-    pub fn value_at(&self, t: usize) -> f64 {
-        if self.steps == 0 || t >= self.steps {
-            self.end
-        } else {
-            let frac = t as f64 / self.steps as f64;
-            self.start + (self.end - self.start) * frac
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,21 +162,5 @@ mod tests {
         let back = RunningMeanStd::from_state(count, mean.to_vec(), m2.to_vec());
         assert_eq!(rs, back);
         assert_eq!(rs.normalize(&[3.0, 1.0]), back.normalize(&[3.0, 1.0]));
-    }
-
-    #[test]
-    fn linear_schedule_interpolates() {
-        let s = LinearSchedule::new(1.0, 0.0, 10);
-        assert_eq!(s.value_at(0), 1.0);
-        assert!((s.value_at(5) - 0.5).abs() < 1e-12);
-        assert_eq!(s.value_at(10), 0.0);
-        assert_eq!(s.value_at(100), 0.0);
-    }
-
-    #[test]
-    fn constant_schedule_is_flat() {
-        let s = LinearSchedule::constant(0.3);
-        assert_eq!(s.value_at(0), 0.3);
-        assert_eq!(s.value_at(1000), 0.3);
     }
 }

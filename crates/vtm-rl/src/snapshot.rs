@@ -408,7 +408,9 @@ mod tests {
     use super::*;
     use crate::env::{ActionSpace, Environment, Step};
     use crate::ppo::PpoAgent;
+    use crate::trainer::{Trainer, TrainerReport};
 
+    #[derive(Clone)]
     struct Line;
     impl Environment for Line {
         fn observation_dim(&self) -> usize {
@@ -429,13 +431,22 @@ mod tests {
         }
     }
 
+    /// `rounds` training rounds of `episodes` one-step episodes each.
+    fn train(agent: &mut PpoAgent, rounds: usize, episodes: usize) -> TrainerReport {
+        Trainer::for_env(Line)
+            .episodes(rounds * episodes)
+            .collectors(episodes)
+            .max_steps(1)
+            .run(agent)
+            .unwrap()
+    }
+
     fn trained_agent(seed: u64) -> PpoAgent {
-        let mut env = Line;
         let mut agent = PpoAgent::new(
             PpoConfig::new(2, 1).with_seed(seed),
             ActionSpace::scalar(0.0, 1.0),
         );
-        agent.train(&mut env, 3, 8, 1);
+        train(&mut agent, 3, 8);
         agent
     }
 
@@ -480,10 +491,8 @@ mod tests {
     fn restored_agent_continues_training_identically() {
         let mut original = trained_agent(11);
         let mut resumed = PpoAgent::restore(&original.snapshot());
-        let mut env_a = Line;
-        let mut env_b = Line;
-        let ha = original.train(&mut env_a, 2, 8, 1);
-        let hb = resumed.train(&mut env_b, 2, 8, 1);
+        let ha = train(&mut original, 2, 8);
+        let hb = train(&mut resumed, 2, 8);
         assert_eq!(ha, hb);
         assert_eq!(original, resumed);
     }
@@ -604,8 +613,7 @@ mod tests {
         let mut other_cfg = PpoConfig::new(2, 1).with_seed(1);
         other_cfg.hidden = vec![8];
         let mut trained_other = PpoAgent::new(other_cfg, ActionSpace::scalar(0.0, 1.0));
-        let mut env = Line;
-        trained_other.train(&mut env, 1, 4, 1);
+        train(&mut trained_other, 1, 4);
         let mut snapshot = agent.snapshot();
         snapshot.actor_optimizer = trained_other.snapshot().actor_optimizer;
         match PolicySnapshot::from_bytes(&snapshot.to_bytes()) {

@@ -1,10 +1,7 @@
 //! Builder-style training loop: the single entry point of the policy
-//! lifecycle's *learn* phase.
-//!
-//! Historically every caller wired its own loop around
-//! [`ParallelCollector`] (serial episode loops, vectorized loops, scenario
-//! loops), which meant three divergent code paths with three different
-//! seed schedules. [`Trainer`] replaces them with one configurable path:
+//! lifecycle's *learn* phase. Every caller that trains (the mechanism's
+//! Algorithm 1, the scenario runs, the experiments CLI) runs this one path
+//! over [`ParallelCollector`], with one seed schedule:
 //!
 //! ```text
 //! Trainer::for_env(env)

@@ -23,9 +23,8 @@
 //! the (frozen) policy parameters — never on thread scheduling or on how
 //! replicas are grouped into batches. Combined with the bit-stable batched
 //! forward pass ([`vtm_nn::mlp::Mlp::forward_rows`]), this makes
-//! [`ParallelCollector::collect`] and [`ParallelCollector::collect_serial`]
-//! produce *identical* transitions for the same seed, which the test suite
-//! asserts.
+//! [`ParallelCollector::collect`] produce *identical* transitions for the
+//! same seed at every thread count, which the test suite asserts.
 //!
 //! # Example
 //!
@@ -257,16 +256,6 @@ impl CollectedRollouts {
             .collect()
     }
 
-    /// Mean episode return (0.0 when no episode completed).
-    pub fn mean_return(&self) -> f64 {
-        let returns = self.episode_returns();
-        if returns.is_empty() {
-            0.0
-        } else {
-            returns.iter().sum::<f64>() / returns.len() as f64
-        }
-    }
-
     /// Moves every transition into `buffer`, replica by replica.
     pub fn drain_into(self, buffer: &mut RolloutBuffer) {
         for rollout in self.per_env {
@@ -300,8 +289,9 @@ impl ParallelCollector {
     ///
     /// Replicas are split into `num_threads` contiguous chunks, each chunk
     /// collected on its own scoped thread with lockstep-batched forward
-    /// passes. Output order is replica order regardless of scheduling, and
-    /// contents are identical to [`ParallelCollector::collect_serial`].
+    /// passes (one thread collects on the caller's thread). Output order is
+    /// replica order regardless of scheduling, and contents are identical
+    /// for every thread count.
     pub fn collect<E: Environment + Send>(
         &self,
         agent: &PpoAgent,
@@ -344,12 +334,13 @@ impl ParallelCollector {
     ) -> CollectedRollouts {
         let n = venv.len();
         let threads = self.config.resolved_threads().min(n).max(1);
-        if threads == 1 {
-            return self.collect_serial_impl(agent, venv, reset_seeds);
-        }
-        let chunk_size = n.div_ceil(threads);
         let mut rngs: Vec<StdRng> = (0..n).map(|i| self.config.rng_for_env(i)).collect();
         let config = self.config;
+        if threads == 1 {
+            let per_env = collect_chunk(agent, venv.envs_mut(), &mut rngs, reset_seeds, &config);
+            return CollectedRollouts { per_env };
+        }
+        let chunk_size = n.div_ceil(threads);
         let env_chunks = venv.envs_mut().chunks_mut(chunk_size);
         let rng_chunks = rngs.chunks_mut(chunk_size);
         let per_env = thread::scope(|scope| {
@@ -368,69 +359,6 @@ impl ParallelCollector {
                 .collect()
         });
         CollectedRollouts { per_env }
-    }
-
-    /// Collects the configured episodes on the calling thread only.
-    ///
-    /// Still uses lockstep-batched forward passes over all replicas; the only
-    /// difference from [`ParallelCollector::collect`] is the absence of
-    /// worker threads, which makes this the reference implementation for the
-    /// determinism tests and for single-core machines.
-    pub fn collect_serial<E: Environment>(
-        &self,
-        agent: &PpoAgent,
-        venv: &mut VecEnv<E>,
-    ) -> CollectedRollouts {
-        self.collect_serial_impl(agent, venv, None)
-    }
-
-    /// The single-threaded collection path shared by [`collect_serial`] and
-    /// the `threads == 1` branch of the parallel entry points.
-    ///
-    /// [`collect_serial`]: ParallelCollector::collect_serial
-    fn collect_serial_impl<E: Environment>(
-        &self,
-        agent: &PpoAgent,
-        venv: &mut VecEnv<E>,
-        reset_seeds: Option<&[u64]>,
-    ) -> CollectedRollouts {
-        let n = venv.len();
-        let mut rngs: Vec<StdRng> = (0..n).map(|i| self.config.rng_for_env(i)).collect();
-        CollectedRollouts {
-            per_env: collect_chunk(agent, venv.envs_mut(), &mut rngs, reset_seeds, &self.config),
-        }
-    }
-
-    /// Convenience training loop over a vectorized environment: repeatedly
-    /// collects, processes with the agent's GAE settings and updates the
-    /// agent, returning the mean episode return of every iteration.
-    ///
-    /// The vectorized counterpart of [`PpoAgent::train`]: each iteration
-    /// feeds `len(venv) * episodes_per_env` episodes into one PPO update.
-    pub fn train<E: Environment + Send>(
-        &self,
-        agent: &mut PpoAgent,
-        venv: &mut VecEnv<E>,
-        iterations: usize,
-    ) -> Vec<f64> {
-        let mut history = Vec::with_capacity(iterations);
-        for iteration in 0..iterations {
-            // Fresh exploration noise every round, deterministically.
-            let rollouts = ParallelCollector::new(self.config.for_round(iteration as u64))
-                .collect(agent, venv);
-            let mean_return = rollouts.mean_return();
-            let mut buffer = RolloutBuffer::new();
-            rollouts.drain_into(&mut buffer);
-            let samples = buffer.process(
-                agent.config().gamma,
-                agent.config().gae_lambda,
-                0.0,
-                agent.config().normalize_advantages,
-            );
-            agent.update(&samples);
-            history.push(mean_return);
-        }
-        history
     }
 }
 
@@ -596,8 +524,9 @@ mod tests {
     fn collector_collects_requested_episodes() {
         let agent = agent();
         let mut venv = VecEnv::from_fn(3, |_| Ramp::new(4));
-        let collector = ParallelCollector::new(CollectorConfig::new(2, 10).with_seed(1));
-        let rollouts = collector.collect_serial(&agent, &mut venv);
+        let collector =
+            ParallelCollector::new(CollectorConfig::new(2, 10).with_seed(1).with_threads(1));
+        let rollouts = collector.collect(&agent, &mut venv);
         assert_eq!(rollouts.per_env.len(), 3);
         for rollout in &rollouts.per_env {
             assert_eq!(rollout.returns.len(), 2);
@@ -615,8 +544,9 @@ mod tests {
         let agent = agent();
         // Horizon 100 but cap at 5 steps.
         let mut venv = VecEnv::from_fn(2, |_| Ramp::new(100));
-        let collector = ParallelCollector::new(CollectorConfig::new(1, 5).with_seed(2));
-        let rollouts = collector.collect_serial(&agent, &mut venv);
+        let collector =
+            ParallelCollector::new(CollectorConfig::new(1, 5).with_seed(2).with_threads(1));
+        let rollouts = collector.collect(&agent, &mut venv);
         for rollout in &rollouts.per_env {
             assert_eq!(rollout.transitions.len(), 5);
             assert!(rollout.transitions[4].done, "truncation must set done");
@@ -638,8 +568,9 @@ mod tests {
     fn drain_into_preserves_episode_structure() {
         let agent = agent();
         let mut venv = VecEnv::from_fn(2, |_| Ramp::new(3));
-        let collector = ParallelCollector::new(CollectorConfig::new(2, 3).with_seed(3));
-        let rollouts = collector.collect_serial(&agent, &mut venv);
+        let collector =
+            ParallelCollector::new(CollectorConfig::new(2, 3).with_seed(3).with_threads(1));
+        let rollouts = collector.collect(&agent, &mut venv);
         let returns = rollouts.episode_returns();
         let mut buffer = RolloutBuffer::new();
         rollouts.drain_into(&mut buffer);
@@ -649,15 +580,5 @@ mod tests {
         for (a, b) in returns.iter().zip(buffered.iter()) {
             assert!((a - b).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn train_runs_and_reports_history() {
-        let mut agent = agent();
-        let mut venv = VecEnv::from_fn(4, |_| Ramp::new(3));
-        let collector = ParallelCollector::new(CollectorConfig::new(1, 3).with_seed(4));
-        let history = collector.train(&mut agent, &mut venv, 3);
-        assert_eq!(history.len(), 3);
-        assert!(history.iter().all(|r| r.is_finite()));
     }
 }

@@ -20,10 +20,9 @@
 //!   ([`vtm_nn::mlp::Mlp::forward_rows`]) instead of one row-vector pass per
 //!   request, which is where the serving throughput comes from (the
 //!   `serve-bench` experiment measures batched vs per-request quotes/s);
-//! * **deterministic greedy mode** — [`InferenceMode::Greedy`] quotes the
-//!   squashed Gaussian mean, so identical request streams produce identical
-//!   prices; [`InferenceMode::Sample`] draws exploration noise from a
-//!   per-session counter-based stream and is equally reproducible.
+//! * **deterministic quotes** — every quote is the squashed Gaussian mean,
+//!   so identical request streams produce identical prices, however the
+//!   stream is sliced into batches.
 //!
 //! # Example
 //!
@@ -54,8 +53,8 @@ mod session;
 mod store;
 
 pub use service::{
-    InferenceMode, Precision, PricingService, Quote, QuoteRequest, ServeError, ServiceConfig,
-    ServiceStats, SharedPolicy,
+    Precision, PricingService, Quote, QuoteRequest, ServeError, ServiceConfig, ServiceStats,
+    SharedPolicy,
 };
 pub use session::Session;
 pub use store::{SessionStore, StoreConfig, StoreStats};

@@ -6,23 +6,19 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use vtm_nn::codec::{fnv1a, CodecError, PayloadReader, PayloadWriter};
 use vtm_nn::inference::InferenceModel;
 use vtm_nn::matrix::ShapeError;
 use vtm_nn::mlp::Mlp;
-use vtm_rl::distribution::DiagGaussian;
 use vtm_rl::env::ActionSpace;
 use vtm_rl::running_stat::RunningMeanStd;
 use vtm_rl::snapshot::{PolicySnapshot, SnapshotError};
 
-use crate::store::{SessionStore, StoreConfig, GOLDEN};
+use crate::store::{SessionStore, StoreConfig};
 
-/// Per-request observation rows plus warm-up flags and per-session draw
-/// counters, produced by one locked pass over the session shards.
-type GatheredObservations = (Vec<Vec<f64>>, Vec<bool>, Vec<u64>);
+/// Per-request observation rows plus warm-up flags, produced by one locked
+/// pass over the session shards.
+type GatheredObservations = (Vec<Vec<f64>>, Vec<bool>);
 
 /// Typed failure modes of the serving layer.
 #[derive(Debug)]
@@ -106,18 +102,6 @@ impl From<SnapshotError> for ServeError {
     }
 }
 
-/// How the service turns the actor's Gaussian mean into a quoted action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferenceMode {
-    /// Deterministic: quote the squashed mean action. Identical request
-    /// streams yield identical prices — the mode production pricing uses.
-    #[default]
-    Greedy,
-    /// Stochastic: add Gaussian exploration noise drawn from a per-session
-    /// counter-based stream (reproducible, but varying across rounds).
-    Sample,
-}
-
 /// Numeric precision of the frozen serving forward pass.
 ///
 /// Training, journal replay and state digests are pinned at double
@@ -180,14 +164,13 @@ pub struct ServiceConfig {
     /// results are bit-identical for every thread count because
     /// [`Mlp::forward_rows`] is row-independent.
     pub inference_threads: usize,
-    /// Quote mode.
-    pub mode: InferenceMode,
     /// Forward-pass precision (f64 reference or quantized f32 fast path).
     pub precision: Precision,
 }
 
 impl ServiceConfig {
-    /// A configuration with 16 shards and greedy inference.
+    /// A configuration with 16 shards, unbounded sessions, one inference
+    /// thread and the f64 forward pass.
     ///
     /// # Panics
     ///
@@ -202,7 +185,6 @@ impl ServiceConfig {
             session_capacity: 0,
             session_ttl: 0,
             inference_threads: 1,
-            mode: InferenceMode::Greedy,
             precision: Precision::F64,
         }
     }
@@ -228,12 +210,6 @@ impl ServiceConfig {
     /// Overrides the forward-pass worker-thread count (`0` = one per core).
     pub fn with_inference_threads(mut self, threads: usize) -> Self {
         self.inference_threads = threads;
-        self
-    }
-
-    /// Overrides the inference mode.
-    pub fn with_mode(mut self, mode: InferenceMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -365,7 +341,6 @@ pub struct SharedPolicy {
     /// from this policy.
     inference: OnceLock<Arc<InferenceModel>>,
     action_space: ActionSpace,
-    log_std: Vec<f64>,
     obs_normalizer: Option<RunningMeanStd>,
     fingerprint: u64,
 }
@@ -383,7 +358,6 @@ impl SharedPolicy {
             actor: Arc::new(snapshot.actor.clone()),
             inference: OnceLock::new(),
             action_space: snapshot.action_space.clone(),
-            log_std: snapshot.log_std.clone(),
             obs_normalizer: snapshot.obs_normalizer.clone(),
             fingerprint: fnv1a(&snapshot.to_bytes()),
         })
@@ -422,7 +396,6 @@ pub struct PricingService {
     /// as the source for checkpoints/fingerprints).
     inference: Option<Arc<InferenceModel>>,
     action_space: ActionSpace,
-    log_std: Vec<f64>,
     obs_normalizer: Option<RunningMeanStd>,
     config: ServiceConfig,
     store: SessionStore,
@@ -485,7 +458,6 @@ impl PricingService {
             actor: Arc::clone(&policy.actor),
             inference,
             action_space: policy.action_space.clone(),
-            log_std: policy.log_std.clone(),
             obs_normalizer: policy.obs_normalizer.clone(),
             config,
             store,
@@ -588,7 +560,7 @@ impl PricingService {
 
     /// FNV-1a digest of [`PricingService::save_state`] — the byte-identical
     /// service-state witness the determinism, crash-recovery and replay
-    /// tests compare. Equal digests mean equal session histories, noise
+    /// tests compare. Equal digests mean equal session histories, quote
     /// counters, LRU/TTL bookkeeping and serving counters.
     pub fn state_digest(&self) -> u64 {
         fnv1a(&self.save_state())
@@ -629,7 +601,7 @@ impl PricingService {
     }
 
     /// Advances the session state for every request and returns each
-    /// request's full (normalized) observation row plus warm/noise metadata,
+    /// request's full (normalized) observation row and warm-up flag,
     /// locking every touched shard exactly once. Every request is checked
     /// before any session moves, so a rejected batch changes no state.
     fn gather_observations(
@@ -642,7 +614,6 @@ impl PricingService {
         let features = self.config.features_per_round;
         let mut rows: Vec<Vec<f64>> = vec![Vec::new(); requests.len()];
         let mut warmed = vec![false; requests.len()];
-        let mut draws = vec![0u64; requests.len()];
         let ids: Vec<u64> = requests.iter().map(|r| r.session).collect();
         // The store locks each touched shard exactly once; requests for the
         // same session are applied in request order.
@@ -651,26 +622,16 @@ impl PricingService {
             session.push(req.features.clone(), self.config.history_length);
             session.quotes += 1;
             warmed[idx] = session.warmed(self.config.history_length);
-            draws[idx] = session.quotes;
             rows[idx] = self.normalized(session.observation(self.config.history_length, features));
         });
-        Ok((rows, warmed, draws))
+        Ok((rows, warmed))
     }
 
-    fn quote_from_mean(&self, session: u64, mean: &[f64], draw: u64, warmed: bool) -> Quote {
-        let action = match self.config.mode {
-            InferenceMode::Greedy => self.action_space.squash(mean),
-            InferenceMode::Sample => {
-                // Counter-based stream: the n-th quote of a session draws the
-                // same noise no matter how requests were batched.
-                let mut rng = StdRng::seed_from_u64(session ^ draw.wrapping_mul(GOLDEN));
-                let dist = DiagGaussian::new(mean.to_vec(), self.log_std.clone());
-                self.action_space.squash(&dist.sample(&mut rng))
-            }
-        };
+    /// The quote for one priced row: the squashed actor mean.
+    fn quote_from_mean(&self, session: u64, mean: &[f64], warmed: bool) -> Quote {
         Quote {
             session,
-            action,
+            action: self.action_space.squash(mean),
             warmed,
             degraded: false,
         }
@@ -740,8 +701,8 @@ impl PricingService {
 
     /// Prices a whole round of requests with **one** batched actor forward
     /// pass per inference-thread chunk. Results are identical to calling
-    /// [`PricingService::quote_one`] per request in order
-    /// ([`Mlp::forward_rows`] is bit-stable against the row-vector path, and
+    /// [`PricingService::quote_one`] per request in order (each output row
+    /// of [`Mlp::forward_rows`] depends only on its own input row, and
     /// chunking is row-independent); the batch is simply much faster, which
     /// is the point of the serving layer.
     ///
@@ -770,14 +731,14 @@ impl PricingService {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let (rows, warmed, draws) = self.gather_observations(requests)?;
+        let (rows, warmed) = self.gather_observations(requests)?;
         let means = self.forward_means(&rows)?;
         self.quotes_served
             .fetch_add(requests.len() as u64, Ordering::Relaxed);
         let quotes: Vec<Quote> = requests
             .iter()
             .enumerate()
-            .map(|(i, req)| self.quote_from_mean(req.session, &means[i], draws[i], warmed[i]))
+            .map(|(i, req)| self.quote_from_mean(req.session, &means[i], warmed[i]))
             .collect();
         // Refresh the degraded-mode caches; within-batch duplicates apply
         // in request order, so the last request's action wins — exactly
@@ -790,28 +751,16 @@ impl PricingService {
         Ok(quotes)
     }
 
-    /// Prices a single request with a per-request row-vector forward pass —
-    /// the unbatched baseline the `serve-bench` experiment compares
-    /// [`PricingService::quote_batch`] against.
+    /// Prices a single request: a one-request batch through
+    /// [`PricingService::quote_refs`].
     ///
     /// # Errors
     ///
     /// Returns a typed [`ServeError`] for malformed feature blocks
     /// ([`PricingService::check_request`]).
     pub fn quote_one(&self, request: &QuoteRequest) -> Result<Quote, ServeError> {
-        let (rows, warmed, draws) = self.gather_observations(&[request])?;
-        // Route by precision so single-request quotes stay bit-identical to
-        // batched ones in *both* modes (each path is batch-invariant).
-        let mean = match &self.inference {
-            Some(model) => model.forward_vec(&rows[0]),
-            None => self.actor.forward_vec(&rows[0]),
-        }
-        .map_err(ServeError::Forward)?;
-        self.quotes_served.fetch_add(1, Ordering::Relaxed);
-        let quote = self.quote_from_mean(request.session, &mean, draws[0], warmed[0]);
-        self.store
-            .record_last_actions(&[(quote.session, quote.action.as_slice())]);
-        Ok(quote)
+        let mut quotes = self.quote_refs(&[request])?;
+        Ok(quotes.pop().expect("one request yields one quote"))
     }
 }
 
@@ -867,28 +816,39 @@ mod tests {
         }
         assert_eq!(batched.stats().quotes, 54);
         assert_eq!(batched.stats().sessions, 9);
+        assert_repeats_match_single_quotes(&batched, &sequential);
     }
 
-    #[test]
-    fn sampled_mode_is_reproducible_and_batch_invariant() {
-        let snap = snapshot(6, 3);
-        let config = ServiceConfig::new(3, 2).with_mode(InferenceMode::Sample);
-        let a = PricingService::from_snapshot(&snap, config).unwrap();
-        let b = PricingService::from_snapshot(&snap, config).unwrap();
-        for round in 0..4 {
-            let reqs = requests(round, 5, 2);
-            let qa = a.quote_batch(&reqs).unwrap();
-            let qb: Vec<Quote> = reqs.iter().map(|r| b.quote_one(r).unwrap()).collect();
-            assert_eq!(qa, qb);
-            for q in &qa {
-                assert!(q.price() >= 5.0 && q.price() <= 50.0);
-            }
+    /// Quotes one batch that prices session 0 three times, between sessions
+    /// 1 and 2, on `batched`, and the same requests one at a time on
+    /// `sequential`: the repeats apply in request order, so quotes, state
+    /// and every session's cached last action (the last repeat's) agree.
+    fn assert_repeats_match_single_quotes(batched: &PricingService, sequential: &PricingService) {
+        let pick = |session: usize, round: usize| requests(round, 3, 2)[session].clone();
+        let batch = [
+            pick(0, 10),
+            pick(1, 10),
+            pick(0, 11),
+            pick(2, 10),
+            pick(0, 12),
+        ];
+        let via_single: Vec<Quote> = batch
+            .iter()
+            .map(|r| sequential.quote_one(r).unwrap())
+            .collect();
+        assert_eq!(batched.quote_batch(&batch).unwrap(), via_single);
+        assert_eq!(batched.state_digest(), sequential.state_digest());
+        for session in 0..9 {
+            assert_eq!(
+                batched.cached_quote(session),
+                sequential.cached_quote(session),
+                "session {session}"
+            );
         }
-        // Different rounds draw different noise for the same session.
-        let c = PricingService::from_snapshot(&snap, config).unwrap();
-        let q1 = c.quote_batch(&requests(0, 1, 2)).unwrap();
-        let q2 = c.quote_batch(&requests(0, 1, 2)).unwrap();
-        assert_ne!(q1[0].action, q2[0].action);
+        assert_eq!(
+            batched.cached_quote(0).unwrap().action,
+            via_single[4].action
+        );
     }
 
     #[test]
@@ -1068,7 +1028,7 @@ mod tests {
         assert_eq!(target.state_digest(), source.state_digest());
         assert_eq!(target.stats(), source.stats());
         // Future quotes agree bit-for-bit: the restored state carries the
-        // histories, noise counters and LRU/TTL bookkeeping.
+        // histories, quote counters and LRU/TTL bookkeeping.
         for round in 5..8 {
             let reqs = requests(round, 11, 2);
             assert_eq!(
@@ -1191,6 +1151,7 @@ mod tests {
             assert_eq!(via_batch, via_single, "f32 round {round} diverged");
         }
         assert_eq!(batched.state_digest(), sequential.state_digest());
+        assert_repeats_match_single_quotes(&batched, &sequential);
     }
 
     #[test]

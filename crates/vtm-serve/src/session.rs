@@ -12,8 +12,7 @@ use vtm_nn::codec::{CodecError, PayloadReader, PayloadWriter};
 pub struct Session {
     /// The most recent feature blocks, oldest first (at most `L`).
     history: VecDeque<Vec<f64>>,
-    /// Quotes served to this session so far (also the per-session noise
-    /// counter for sampled inference).
+    /// Quotes served to this session so far.
     pub quotes: u64,
     /// The raw policy action behind the most recent quote served to this
     /// session — the degraded-mode answer when the pricing pipeline is

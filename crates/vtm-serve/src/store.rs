@@ -29,10 +29,6 @@ use vtm_nn::codec::{CodecError, PayloadReader, PayloadWriter};
 
 use crate::session::Session;
 
-/// Seed-decorrelation constant shared with the training stack (also used
-/// by the service's counter-based sampling noise).
-pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Sizing and eviction policy of a [`SessionStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {

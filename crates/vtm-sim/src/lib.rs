@@ -3,15 +3,15 @@
 //! The physical-world substrate needed by the reproduction of *"Learning-based
 //! Incentive Mechanism for Task Freshness-aware Vehicular Twin Migration"*
 //! (ICDCS 2023): vehicles, mobility, roadside units, the inter-RSU wireless
-//! channel, vehicular twins and their pre-copy live migration, a discrete
-//! event queue, and an end-to-end simulation that triggers migrations as
-//! vehicles cross RSU coverage boundaries.
+//! link budget, vehicular twins and their pre-copy live migration, and an
+//! end-to-end simulation that triggers migrations as vehicles cross RSU
+//! coverage boundaries.
 //!
 //! The paper evaluates its incentive mechanism analytically/numerically; this
 //! simulator exists so that the mechanism can also be exercised end-to-end
-//! (examples `highway_migration` and the `simulator` benchmarks), and so the
-//! analytic Age of Twin Migration of Eq. (1) can be cross-checked against a
-//! packet-level model (see [`migration::analytic_aotm_seconds`] versus
+//! (example `highway_migration`, and the scenario environments of
+//! `vtm-core`), and so the analytic Age of Twin Migration of Eq. (1) can be
+//! cross-checked against a packet-level model (see [`migration::analytic_aotm_seconds`] versus
 //! [`migration::simulate_precopy_migration`]).
 //!
 //! # Example
@@ -28,9 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
-pub mod event;
-pub mod handover;
 pub mod metaverse;
 pub mod migration;
 pub mod mobility;
@@ -43,11 +40,6 @@ pub mod vehicle;
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
-    pub use crate::channel::{ChannelError, OfdmaChannel};
-    pub use crate::event::{EventQueue, ScheduledEvent};
-    pub use crate::handover::{
-        HandoverDecision, HandoverPolicy, HysteresisPolicy, NearestRsuPolicy, PredictivePolicy,
-    };
     pub use crate::metaverse::{
         BandwidthAllocator, EqualShareAllocator, FixedAllocator, MetaverseConfig, MetaverseSim,
         MigrationRecord, SimulationReport, VmuEntry,

@@ -7,7 +7,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vtm_sim::event::EventQueue;
 use vtm_sim::mobility::{MobilityModel, PerturbedHighway, Position, RandomWaypoint, Velocity};
 use vtm_sim::radio::{Db, Dbm, LinkBudget};
 use vtm_sim::rsu::Corridor;
@@ -53,29 +52,6 @@ fn rate_monotonicity() {
         let further = LinkBudget::default().with_distance(distance + extra_distance);
         assert!(link.rate_bps(bandwidth + extra_bandwidth) >= link.rate_bps(bandwidth));
         assert!(link.rate_bps(bandwidth) >= further.rate_bps(bandwidth));
-    });
-}
-
-/// Events always pop in non-decreasing time order regardless of insertion
-/// order, and the clock never runs backwards.
-#[test]
-fn event_queue_orders_events() {
-    cases(64, 0x24, |rng| {
-        let len = rng.gen_range(1..100usize);
-        let times: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..1e4)).collect();
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(t, i);
-        }
-        let mut last = f64::NEG_INFINITY;
-        let mut popped = 0;
-        while let Some(event) = q.pop() {
-            assert!(event.time >= last);
-            assert!(q.now() >= last);
-            last = event.time;
-            popped += 1;
-        }
-        assert_eq!(popped, times.len());
     });
 }
 

@@ -74,9 +74,7 @@ pub mod prelude {
     };
     pub use vtm_nn::prelude::*;
     pub use vtm_rl::prelude::*;
-    pub use vtm_serve::{
-        InferenceMode, PricingService, Quote, QuoteRequest, ServeError, ServiceConfig,
-    };
+    pub use vtm_serve::{PricingService, Quote, QuoteRequest, ServeError, ServiceConfig};
     pub use vtm_sim::prelude::*;
 }
 

@@ -208,32 +208,6 @@ fn precopy_migration_terminates_and_dominates_analytic_bound() {
     });
 }
 
-/// The OFDMA pool never over-allocates and releasing returns exactly what
-/// was granted.
-#[test]
-fn ofdma_allocation_conserves_bandwidth() {
-    cases(64, 0x09, |rng| {
-        let len = rng.gen_range(1..12usize);
-        let requests: Vec<f64> = (0..len).map(|_| rng.gen_range(0.1..20.0)).collect();
-        let mut channel = OfdmaChannel::with_total_bandwidth(50e6, 500, link());
-        let total = channel.total_bandwidth_hz();
-        let mut granted = Vec::new();
-        for (i, r) in requests.iter().enumerate() {
-            if let Ok(g) = channel.allocate(i as u64, r * 1e6) {
-                granted.push((i as u64, g));
-            }
-        }
-        let allocated: f64 = granted.iter().map(|(_, g)| g).sum();
-        assert!(allocated <= total + 1e-6);
-        assert!((channel.free_bandwidth_hz() - (total - allocated)).abs() < 1e-6);
-        for (id, g) in granted {
-            let freed = channel.release(id).unwrap();
-            assert!((freed - g).abs() < 1e-6);
-        }
-        assert!((channel.free_bandwidth_hz() - total).abs() < 1e-6);
-    });
-}
-
 /// Summary statistics are consistent: min <= median <= p95 <= max and the
 /// mean lies within [min, max].
 #[test]
