@@ -594,8 +594,7 @@ fn main_chaos(args: &[String]) {
                 };
                 println!(
                     "chaos `{}`: {} admitted / {} quoted / {} errored / {} rejected — \
-                     panics {}, expired {}, shed {}, degraded {}, \
-                     journal retries {}, bypassed {}{replay}",
+                     panics {}, expired {}, journal retries {}, bypassed {}{replay}",
                     r.plan,
                     r.admitted,
                     r.quoted,
@@ -603,8 +602,6 @@ fn main_chaos(args: &[String]) {
                     r.rejected,
                     r.stats.panics,
                     r.stats.expired,
-                    r.stats.shed,
-                    r.stats.degraded_quotes,
                     r.stats.journal_retries,
                     r.stats.journal_bypassed,
                 );

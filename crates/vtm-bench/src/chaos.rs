@@ -86,7 +86,7 @@ pub struct ChaosPlanResult {
     pub quoted: u64,
     /// Waits that returned a typed error (still liveness-correct).
     pub errored: u64,
-    /// Submissions rejected synchronously (shed, overloaded, journal).
+    /// Submissions rejected synchronously (overloaded, journal).
     pub rejected: u64,
     /// Final gateway telemetry.
     pub stats: TelemetrySnapshot,

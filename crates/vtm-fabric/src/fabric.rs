@@ -194,9 +194,7 @@ impl FabricTicket {
             .as_micros()
             .min(u128::from(u64::MAX)) as u64;
         match &result {
-            Ok(quote) => self
-                .telemetry
-                .record_quote(quote.price(), quote.degraded, latency_us),
+            Ok(quote) => self.telemetry.record_quote(quote.price(), latency_us),
             Err(err) => self.telemetry.record_error(err),
         }
         result

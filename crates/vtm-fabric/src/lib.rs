@@ -13,7 +13,7 @@
 //! * [`ArmSpec`] / [`parse_arms`] — named policy arms with hash-stable
 //!   percentage assignment (`"a=90,b=10"`),
 //! * [`FabricSnapshot`] / [`ArmSnapshot`] — per-arm quotes, latency
-//!   histograms, degraded/shed counters and revenue-proxy sums next to
+//!   histograms, fault counters and revenue-proxy sums next to
 //!   every per-shard gateway snapshot, exposed through
 //!   [`FabricSnapshot::register_metrics`].
 //!

@@ -17,8 +17,6 @@ use vtm_obs::{HistogramSnapshot, LogHistogram, MetricsRegistry};
 #[derive(Debug, Default)]
 pub(crate) struct ArmTelemetry {
     quotes: AtomicU64,
-    degraded: AtomicU64,
-    shed: AtomicU64,
     rejected: AtomicU64,
     failed: AtomicU64,
     promotions: AtomicU64,
@@ -28,22 +26,18 @@ pub(crate) struct ArmTelemetry {
 }
 
 impl ArmTelemetry {
-    /// Records a resolved quote: completion, degradation, revenue proxy
-    /// and client-observed latency.
-    pub(crate) fn record_quote(&self, price: f64, degraded: bool, latency_us: u64) {
+    /// Records a resolved quote: completion, revenue proxy and
+    /// client-observed latency.
+    pub(crate) fn record_quote(&self, price: f64, latency_us: u64) {
         self.quotes.fetch_add(1, Ordering::Relaxed);
-        if degraded {
-            self.degraded.fetch_add(1, Ordering::Relaxed);
-        }
         self.add_revenue(price);
         self.latency.record(latency_us);
     }
 
     /// Records a typed failure, bucketed the way an experiment reads it:
-    /// load-shedding and backpressure separately from hard failures.
+    /// backpressure separately from hard failures.
     pub(crate) fn record_error(&self, error: &GatewayError) {
         let counter = match error {
-            GatewayError::Shed { .. } => &self.shed,
             GatewayError::Overloaded { .. } => &self.rejected,
             _ => &self.failed,
         };
@@ -82,8 +76,6 @@ impl ArmTelemetry {
             name: name.to_string(),
             percent,
             quotes: self.quotes.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             promotions: self.promotions.load(Ordering::Relaxed),
@@ -125,10 +117,6 @@ pub struct ArmSnapshot {
     pub percent: u32,
     /// Quotes resolved for this arm (across promotions).
     pub quotes: u64,
-    /// Resolved quotes answered from the degraded last-quote cache.
-    pub degraded: u64,
-    /// Submissions rejected by load shedding.
-    pub shed: u64,
     /// Submissions rejected by admission backpressure.
     pub rejected: u64,
     /// Tickets resolved with any other typed error.
@@ -159,21 +147,11 @@ impl ArmSnapshot {
     /// the `vtm_fabric_arm_*` namespace, labelled with the arm name.
     pub fn register_metrics(&self, registry: &mut MetricsRegistry) {
         let labels: [(&str, &str); 1] = [("arm", &self.name)];
-        let counters: [(&str, &str, u64); 8] = [
+        let counters: [(&str, &str, u64); 6] = [
             (
                 "vtm_fabric_arm_quotes_total",
                 "Quotes resolved for the arm.",
                 self.quotes,
-            ),
-            (
-                "vtm_fabric_arm_degraded_total",
-                "Quotes from the degraded cache.",
-                self.degraded,
-            ),
-            (
-                "vtm_fabric_arm_shed_total",
-                "Submissions shed by the health controller.",
-                self.shed,
             ),
             (
                 "vtm_fabric_arm_rejected_total",
@@ -290,16 +268,13 @@ mod tests {
     #[test]
     fn arm_counters_accumulate_and_summarize() {
         let telemetry = ArmTelemetry::default();
-        telemetry.record_quote(10.0, false, 100);
-        telemetry.record_quote(20.0, true, 200);
-        telemetry.record_error(&GatewayError::Shed { retry_after_us: 50 });
+        telemetry.record_quote(10.0, 100);
+        telemetry.record_quote(20.0, 200);
         telemetry.record_error(&GatewayError::Overloaded { queue_capacity: 8 });
         telemetry.record_error(&GatewayError::ShuttingDown);
         telemetry.record_promotion();
         let snap = telemetry.snapshot("a", 90);
         assert_eq!(snap.quotes, 2);
-        assert_eq!(snap.degraded, 1);
-        assert_eq!(snap.shed, 1);
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.promotions, 1);
@@ -319,7 +294,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..1000 {
-                        telemetry.record_quote(0.25, false, 1);
+                        telemetry.record_quote(0.25, 1);
                     }
                 });
             }
@@ -388,15 +363,13 @@ mod tests {
     #[test]
     fn fabric_metrics_registry_has_arm_and_gateway_families() {
         let arm = ArmTelemetry::default();
-        arm.record_quote(12.0, false, 64);
+        arm.record_quote(12.0, 64);
         let traced = ArmSnapshot {
-            degraded: 2,
-            shed: 3,
-            rejected: 4,
-            failed: 5,
-            promotions: 6,
-            expired: 7,
-            journal_bypassed: 8,
+            rejected: 2,
+            failed: 3,
+            promotions: 4,
+            expired: 5,
+            journal_bypassed: 6,
             stages: Some(StageSnapshot::default()),
             ..arm.snapshot("traced", 10)
         };
@@ -413,7 +386,7 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         snapshot.register_metrics(&mut registry);
         let text = registry.render_text();
-        let counters = "quotes degraded shed rejected failed promotions expired journal_bypassed";
+        let counters = "quotes rejected failed promotions expired journal_bypassed";
         for (value, counter) in (1..).zip(counters.split(' ')) {
             let line = format!("vtm_fabric_arm_{counter}_total{{arm=\"traced\"}} {value}\n");
             assert!(text.contains(&line), "{line}{text}");

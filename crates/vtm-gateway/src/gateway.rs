@@ -3,9 +3,7 @@
 //!
 //! ```text
 //!  submit(&self, QuoteRequest)            (any number of caller threads)
-//!        │  feature-width check (typed reject, nothing enqueued)
-//!        │  health controller: Shedding → typed retry-after reject,
-//!        │                     Degraded → cached quote (no pipeline)
+//!        │  feature check (typed reject, nothing enqueued)
 //!        │  admission control: in_flight < queue_capacity or Overloaded
 //!        │  journal append (bounded retry; FailStop or bypass policy)
 //!        ▼
@@ -38,11 +36,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vtm_journal::{snapshot_path, JournalOptions, JournalWriter, StateSnapshot};
-use vtm_obs::{percentile_from_buckets, StageHistograms, TraceRecord, Tracer, TracerConfig};
+use vtm_obs::{StageHistograms, TraceRecord, Tracer, TracerConfig};
 use vtm_serve::{PricingService, Quote, QuoteRequest, ServeError};
 
 use crate::fault::{FaultPlan, FaultState};
-use crate::health::{HealthConfig, HealthController, HealthState};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 
 /// What the gateway does when a journal append still fails after its
@@ -100,8 +97,6 @@ pub struct GatewayConfig {
     pub journal_backoff: Duration,
     /// What happens when journal retries are exhausted.
     pub journal_policy: JournalBypassPolicy,
-    /// Graceful-degradation ladder (`None` = always Healthy).
-    pub health: Option<HealthConfig>,
     /// Deterministic fault injection for the chaos harness (`None` in
     /// production; see [`FaultPlan`]).
     pub faults: Option<FaultPlan>,
@@ -122,7 +117,7 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     /// 32-request batches, a 1 ms flush deadline, 1024 in-flight requests,
     /// one executor, no journaling, no deadlines, 2 journal retries with
-    /// fail-stop, no health controller, no faults.
+    /// fail-stop, no faults.
     fn default() -> Self {
         Self {
             max_batch: 32,
@@ -134,7 +129,6 @@ impl Default for GatewayConfig {
             journal_retries: 2,
             journal_backoff: Duration::from_micros(500),
             journal_policy: JournalBypassPolicy::FailStop,
-            health: None,
             faults: None,
             shard: 0,
             tracing: None,
@@ -197,12 +191,6 @@ impl GatewayConfig {
         self
     }
 
-    /// Enables the Healthy → Shedding → Degraded health controller.
-    pub fn with_health(mut self, health: HealthConfig) -> Self {
-        self.health = Some(health);
-        self
-    }
-
     /// Arms a deterministic fault-injection plan (chaos harness).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -231,13 +219,6 @@ pub enum GatewayError {
     Overloaded {
         /// The admission bound that was hit.
         queue_capacity: usize,
-    },
-    /// The health controller is shedding load: the request was rejected at
-    /// the door (no admission slot was consumed) with a retry hint derived
-    /// from the live latency histogram and queue depth.
-    Shed {
-        /// Suggested client backoff before retrying, in microseconds.
-        retry_after_us: u64,
     },
     /// The request's deadline passed before it could be priced (expired
     /// when its batch was flushed, or reported by a deadline-aware
@@ -286,9 +267,6 @@ impl fmt::Display for GatewayError {
                 f,
                 "gateway overloaded: {queue_capacity} requests already in flight"
             ),
-            GatewayError::Shed { retry_after_us } => {
-                write!(f, "gateway shedding load: retry after ~{retry_after_us} µs")
-            }
             GatewayError::DeadlineExceeded => write!(f, "request deadline exceeded"),
             GatewayError::ExecutorFailed => {
                 write!(f, "executor panicked while pricing the request's batch")
@@ -376,7 +354,7 @@ impl QuoteTicket {
     /// Blocks up to `timeout` (a timeout past the clock's range waits
     /// without bound); `None` when the quote is not ready in time.
     /// The ticket stays valid and can be waited on again — and if the
-    /// request is later shed, expired or failed, the pipeline resolves the
+    /// request is later expired or failed, the pipeline resolves the
     /// slot with the typed error, so a re-wait always terminates.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Quote, GatewayError>> {
         self.wait_until(Instant::now().checked_add(timeout))
@@ -530,8 +508,6 @@ struct Shared {
     frames_processed: AtomicU64,
     /// Armed fault-injection plan (chaos harness), if any.
     faults: Option<FaultState>,
-    /// The degradation-ladder controller, if configured.
-    health: Option<HealthController>,
     /// Set when live service state stopped matching the journal's frame
     /// sequence (a batch panicked after its frames were journaled, a
     /// deadline expired a journaled request, a journal append was
@@ -682,7 +658,6 @@ impl Gateway {
         };
         let executor_count = config.executors.max(1);
         let faults = config.faults.clone().map(FaultState::new);
-        let health = config.health.clone().map(HealthController::new);
         let tracer = config.tracing.map(Tracer::new);
         let shared = Arc::new(Shared {
             service,
@@ -692,7 +667,6 @@ impl Gateway {
             journal,
             frames_processed: AtomicU64::new(0),
             faults,
-            health,
             pipeline_diverged: AtomicBool::new(false),
             tracer,
             stages: StageHistograms::new(),
@@ -722,15 +696,12 @@ impl Gateway {
 
     /// Submits one quote request; returns immediately with a completion
     /// handle. Malformed requests and overload are rejected here, before
-    /// anything is enqueued; the health controller may shed the request or
-    /// answer it from the degraded cache.
+    /// anything is enqueued.
     ///
     /// # Errors
     ///
     /// [`GatewayError::BadFeatureBlock`] for a wrong feature width,
     /// [`GatewayError::NonFiniteFeature`] for a NaN or infinite feature,
-    /// [`GatewayError::Shed`] while the health controller is shedding (or
-    /// degraded with no cached quote for the session),
     /// [`GatewayError::Overloaded`] when `queue_capacity` requests are
     /// already in flight (backpressure — retry later),
     /// [`GatewayError::Journal`] when journaling fails under the fail-stop
@@ -757,41 +728,6 @@ impl Gateway {
                 }
                 other => GatewayError::Service(other.to_string()),
             })?;
-        // The degradation ladder is evaluated on the submit path: executors
-        // may legitimately be parked waiting for a batch to fill, so
-        // submissions drive the controller.
-        if let Some(health) = &self.shared.health {
-            let depth = self.shared.telemetry.in_flight();
-            let capacity = self.shared.config.queue_capacity as u64;
-            let buckets = self.shared.telemetry.latency_buckets_now();
-            match health.observe(depth, capacity, &buckets) {
-                HealthState::Healthy => {}
-                HealthState::Shedding => {
-                    self.shared.telemetry.record_shed();
-                    return Err(GatewayError::Shed {
-                        retry_after_us: self.retry_after_us(depth, &buckets),
-                    });
-                }
-                HealthState::Degraded => {
-                    // Answer from the session-local last-quote cache
-                    // without touching the pipeline or the session state;
-                    // sessions the cache cannot help are shed.
-                    if let Some(quote) = self.shared.service.cached_quote(request.session) {
-                        self.shared.telemetry.record_degraded_quote();
-                        let state = TicketState::new();
-                        state.complete(Ok(quote));
-                        return Ok(QuoteTicket {
-                            state,
-                            deadline: None,
-                        });
-                    }
-                    self.shared.telemetry.record_shed();
-                    return Err(GatewayError::Shed {
-                        retry_after_us: self.retry_after_us(depth, &buckets),
-                    });
-                }
-            }
-        }
         // Admission control: atomically claim an in-flight slot or reject.
         let capacity = self.shared.config.queue_capacity as u64;
         if !self.shared.telemetry.try_admit(capacity) {
@@ -916,15 +852,6 @@ impl Gateway {
         Ok(writer.bytes_written() - before)
     }
 
-    /// The `retry_after` hint a shed request carries: the live median batch
-    /// latency times the number of batches queued ahead — a cheap, honest
-    /// "when will the backlog plausibly have drained" estimate.
-    fn retry_after_us(&self, depth: u64, latency_buckets: &[u64]) -> u64 {
-        let p50 = percentile_from_buckets(latency_buckets, 0.50).max(1);
-        let batches_ahead = depth.div_ceil(self.shared.config.max_batch as u64).max(1);
-        p50.saturating_mul(batches_ahead)
-    }
-
     /// Convenience: submit and block for the quote.
     ///
     /// # Errors
@@ -934,21 +861,18 @@ impl Gateway {
         self.submit(request)?.wait()
     }
 
-    /// A point-in-time telemetry snapshot (counters, queue depth, health
-    /// state, latency/batch-size histograms with p50/p95/p99, plus the
+    /// A point-in-time telemetry snapshot (counters, queue depth,
+    /// latency/batch-size histograms with p50/p95/p99, plus the
     /// per-stage decomposition and journal append cost when available).
     pub fn telemetry(&self) -> TelemetrySnapshot {
         self.enrich_snapshot(self.shared.telemetry.snapshot())
     }
 
-    /// Stamps the service/health/tracing context onto a raw counter
+    /// Stamps the service/tracing context onto a raw counter
     /// snapshot (shared by [`Gateway::telemetry`] and [`Gateway::shutdown`]).
     fn enrich_snapshot(&self, mut snapshot: TelemetrySnapshot) -> TelemetrySnapshot {
         snapshot.precision = self.shared.service.config().precision.name();
         snapshot.shard = self.shared.config.shard;
-        if let Some(health) = &self.shared.health {
-            snapshot.health = health.current();
-        }
         if self.shared.tracer.is_some() {
             snapshot.stages = Some(self.shared.stages.snapshot());
         }
@@ -964,8 +888,8 @@ impl Gateway {
 
     /// The sampled trace records currently in the tracer's ring, sorted by
     /// admit time (empty when tracing is disabled). Only successfully
-    /// completed requests are published — shed, expired and failed
-    /// requests never reach the ring.
+    /// completed requests are published — expired and failed requests
+    /// never reach the ring.
     pub fn trace_records(&self) -> Vec<TraceRecord> {
         self.shared
             .tracer
@@ -1084,11 +1008,11 @@ fn run_batch(shared: &Shared, mut batch: Batch) {
                         tracer.publish(trace);
                     }
                 }
-                // Record before completing the ticket: a caller that submits
-                // again the instant `wait` returns must already see this
-                // completion in the telemetry/health latency window. The
-                // executor owns its batch, so nothing else can have
-                // resolved these tickets — `complete` always wins here.
+                // Record before completing the ticket: a caller that reads
+                // telemetry the instant `wait` returns must already see this
+                // completion. The executor owns its batch, so nothing else
+                // can have resolved these tickets — `complete` always wins
+                // here.
                 pending.telemetry.record_completion(latency_us);
                 pending.state.complete(Ok(quote));
             }
@@ -1204,7 +1128,6 @@ mod tests {
     fn errors_display() {
         for err in [
             GatewayError::Overloaded { queue_capacity: 4 },
-            GatewayError::Shed { retry_after_us: 9 },
             GatewayError::DeadlineExceeded,
             GatewayError::ExecutorFailed,
             GatewayError::BadFeatureBlock {

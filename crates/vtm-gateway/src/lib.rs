@@ -22,7 +22,7 @@
 //!   without bound;
 //! * **bounded sessions** — the underlying service's
 //!   [`SessionStore`](vtm_serve::SessionStore) bounds per-shard session
-//!   state with LRU/TTL eviction, so a million distinct VMU ids cannot
+//!   state with LRU eviction, so a million distinct VMU ids cannot
 //!   exhaust memory;
 //! * **telemetry** — atomic counters plus fixed-bucket log-scale
 //!   histograms yield p50/p95/p99 latency, queue depth, batch-size
@@ -43,11 +43,7 @@
 //! goes on to the next batch. Requests can carry deadlines
 //! ([`GatewayConfig::with_default_deadline`]) — executors expire stale
 //! queued work when they flush a batch and [`QuoteTicket::wait`] stops
-//! blocking at the deadline. An optional
-//! three-state health controller ([`HealthConfig`], Healthy → Shedding →
-//! Degraded) sheds load with a computed `retry_after` hint and, when
-//! degraded, answers from the service's session-local last-quote cache
-//! (quotes marked `degraded`). Journal appends get bounded
+//! blocking at the deadline. Journal appends get bounded
 //! retry-with-backoff and an explicit [`JournalBypassPolicy`], so a bad
 //! disk cannot freeze admission. All of it is testable deterministically:
 //! a seeded [`FaultPlan`] ([`GatewayConfig::with_faults`]) injects
@@ -102,12 +98,10 @@
 
 mod fault;
 mod gateway;
-mod health;
 mod telemetry;
 
 pub use fault::FaultPlan;
 pub use gateway::{Gateway, GatewayConfig, GatewayError, JournalBypassPolicy, QuoteTicket};
-pub use health::{HealthConfig, HealthState};
 pub use telemetry::{Telemetry, TelemetrySnapshot, MAX_TRACKED_BATCH};
 // Tracing vocabulary, re-exported so gateway users configure tracing
 // without a direct vtm-obs dependency.

@@ -14,8 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use vtm_obs::{HistogramSnapshot, LogHistogram, MetricsRegistry, StageSnapshot};
 
-use crate::health::HealthState;
-
 /// Linear batch-size buckets `1..=MAX_TRACKED_BATCH`; larger batches land
 /// in the last bucket.
 pub const MAX_TRACKED_BATCH: usize = 64;
@@ -34,12 +32,6 @@ pub struct Telemetry {
     /// Requests expired at batch formation because their deadline had
     /// already passed.
     expired: AtomicU64,
-    /// Submissions rejected by the health controller's Shedding state
-    /// (distinct from `rejected`, which is the hard admission bound).
-    shed: AtomicU64,
-    /// Submissions answered from the session-local last-quote cache while
-    /// Degraded (these never enter the pipeline).
-    degraded_quotes: AtomicU64,
     /// Executor batch panics caught (each failed only its own batch).
     panics: AtomicU64,
     /// Journal append retries after a transient append failure.
@@ -79,8 +71,6 @@ impl Telemetry {
             rejected: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            degraded_quotes: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             journal_retries: AtomicU64::new(0),
             journal_bypassed: AtomicU64::new(0),
@@ -152,16 +142,6 @@ impl Telemetry {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Records a submission shed at the door (no slot was ever claimed).
-    pub(crate) fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a degraded cache-served quote (never entered the pipeline).
-    pub(crate) fn record_degraded_quote(&self) {
-        self.degraded_quotes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one caught executor batch panic.
     pub(crate) fn record_panic(&self) {
         self.panics.fetch_add(1, Ordering::Relaxed);
@@ -177,12 +157,6 @@ impl Telemetry {
         self.journal_bypassed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A lock-free copy of the cumulative latency histogram (the health
-    /// controller differences consecutive copies into completion windows).
-    pub(crate) fn latency_buckets_now(&self) -> Vec<u64> {
-        self.latency.buckets_now()
-    }
-
     /// Records one admission appended to the journal (`bytes` framed).
     pub(crate) fn record_journal_append(&self, bytes: u64) {
         self.journal_frames.fetch_add(1, Ordering::Relaxed);
@@ -192,11 +166,6 @@ impl Telemetry {
     /// Records one periodic state snapshot written to disk.
     pub(crate) fn record_snapshot(&self) {
         self.snapshots.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Admitted-but-not-yet-completed requests right now.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy of every counter and histogram.
@@ -214,12 +183,9 @@ impl Telemetry {
             rejected: self.rejected.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            degraded_quotes: self.degraded_quotes.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
             journal_retries: self.journal_retries.load(Ordering::Relaxed),
             journal_bypassed: self.journal_bypassed.load(Ordering::Relaxed),
-            health: HealthState::Healthy,
             precision: "f64",
             shard: 0,
             batches,
@@ -256,19 +222,12 @@ pub struct TelemetrySnapshot {
     /// Requests expired at batch formation because their deadline had
     /// passed.
     pub expired: u64,
-    /// Submissions rejected while the health controller was Shedding.
-    pub shed: u64,
-    /// Submissions answered from the degraded last-quote cache.
-    pub degraded_quotes: u64,
     /// Executor batch panics caught and contained.
     pub panics: u64,
     /// Journal append retries after transient failures.
     pub journal_retries: u64,
     /// Admissions that proceeded without a journal frame (bypass policy).
     pub journal_bypassed: u64,
-    /// The health controller's state at snapshot time (always
-    /// [`HealthState::Healthy`] when no health controller is configured).
-    pub health: HealthState,
     /// Forward-pass precision of the serving policy (`"f64"` or `"f32"`),
     /// copied from the service configuration so capacity reports name the
     /// numeric mode they were measured under (see `docs/NUMERICS.md`).
@@ -314,7 +273,7 @@ impl TelemetrySnapshot {
     /// `stage` for the per-stage histograms). This is the snapshot's only
     /// exposition: Prometheus text and JSON both render from the registry.
     pub fn register_metrics(&self, registry: &mut MetricsRegistry, labels: &[(&str, &str)]) {
-        let counters: [(&str, &str, u64); 14] = [
+        let counters: [(&str, &str, u64); 12] = [
             (
                 "vtm_gateway_submitted_total",
                 "Requests admitted past admission control.",
@@ -339,16 +298,6 @@ impl TelemetrySnapshot {
                 "vtm_gateway_expired_total",
                 "Requests expired before batch formation.",
                 self.expired,
-            ),
-            (
-                "vtm_gateway_shed_total",
-                "Submissions shed by the health controller.",
-                self.shed,
-            ),
-            (
-                "vtm_gateway_degraded_quotes_total",
-                "Quotes served from the degraded cache.",
-                self.degraded_quotes,
             ),
             (
                 "vtm_gateway_panics_total",
@@ -419,14 +368,10 @@ impl TelemetrySnapshot {
         for (name, help, value) in gauges {
             registry.gauge(name, help, labels, value);
         }
-        let info = [
-            ("precision", self.precision),
-            ("health", self.health.as_str()),
-        ];
         registry.gauge(
             "vtm_gateway_info",
-            "Serving precision and health state (always 1).",
-            &[labels, &info].concat(),
+            "Serving precision (always 1).",
+            &[labels, &[("precision", self.precision)]].concat(),
             1.0,
         );
         let batch_help =
@@ -508,10 +453,10 @@ mod tests {
         assert!(t.try_admit(2));
         assert!(t.try_admit(2));
         assert!(!t.try_admit(2), "third admit must fail at capacity 2");
-        assert_eq!(t.in_flight(), 2);
+        assert_eq!(t.snapshot().queue_depth, 2);
         t.record_submit();
         t.record_abort(); // enqueue failed: slot released, submit undone
-        assert_eq!(t.in_flight(), 1);
+        assert_eq!(t.snapshot().queue_depth, 1);
         assert!(t.try_admit(2));
         t.record_submit();
         t.record_completion(10);
@@ -531,14 +476,12 @@ mod tests {
         t.record_batch(1);
         t.record_completion(100);
         t.record_reject();
-        t.record_shed();
         t.record_panic();
         t.record_journal_retry();
         t.record_journal_bypass();
         assert!(t.try_admit(8));
         t.record_submit();
         t.record_expired();
-        t.record_degraded_quote();
         let mut registry = MetricsRegistry::new();
         t.snapshot().register_metrics(&mut registry, &[]);
         let json = registry.render_json();
@@ -549,8 +492,8 @@ mod tests {
             let family = families.and_then(|f| f.iter().find(named));
             family.and_then(|f| f.path("samples.0")).expect(name)
         };
-        let counters = "submitted rejected expired shed degraded_quotes panics journal_retries \
-                        journal_bypassed batch_size";
+        let counters = "submitted rejected expired panics journal_retries journal_bypassed \
+                        batch_size";
         for name in counters.split_whitespace() {
             let value = sample(&format!("vtm_gateway_{name}_total")).get("value");
             let expected = if name == "submitted" { 2 } else { 1 };
@@ -559,7 +502,6 @@ mod tests {
         let info = sample("vtm_gateway_info");
         let label = |path| info.path(path).and_then(JsonValue::as_str);
         assert_eq!(label("labels.precision"), Some("f64"));
-        assert_eq!(label("labels.health"), Some("healthy"));
         let latency = sample("vtm_gateway_latency_us");
         assert!(latency.path("value.p99_us").is_some());
     }
@@ -567,17 +509,13 @@ mod tests {
     #[test]
     fn fault_counters_release_in_flight_slots_correctly() {
         let t = Telemetry::new();
-        // expired releases a claimed slot; shed and degraded never claim one.
+        // expired releases a claimed slot.
         assert!(t.try_admit(4));
         t.record_submit();
         t.record_expired();
-        t.record_shed();
-        t.record_degraded_quote();
         let snap = t.snapshot();
         assert_eq!(snap.queue_depth, 0);
         assert_eq!(snap.expired, 1);
-        assert_eq!(snap.shed, 1);
-        assert_eq!(snap.degraded_quotes, 1);
         assert_eq!(snap.submitted, 1);
         assert_eq!(snap.completed, 0);
     }

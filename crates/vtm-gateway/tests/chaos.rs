@@ -1,16 +1,14 @@
 //! Fixed-seed chaos suite: deterministic fault plans injected into a live
 //! gateway, asserting the liveness invariant (every submitted ticket
-//! resolves — no `wait` hangs), exact fault telemetry (`panics`, `shed`,
-//! `expired`, `degraded_quotes`, journal counters) and journal/replay
-//! equivalence under partial failure.
+//! resolves — no `wait` hangs), exact fault telemetry (`panics`,
+//! `expired`, journal counters) and journal/replay equivalence under
+//! partial failure.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vtm_gateway::{
-    FaultPlan, Gateway, GatewayConfig, GatewayError, HealthConfig, JournalBypassPolicy,
-};
+use vtm_gateway::{FaultPlan, Gateway, GatewayConfig, GatewayError, JournalBypassPolicy};
 use vtm_journal::{scan_journal, JournalOptions, ScanMode};
 use vtm_rl::env::ActionSpace;
 use vtm_rl::ppo::{PpoAgent, PpoConfig};
@@ -451,120 +449,6 @@ fn a_wait_timeout_past_the_clock_range_waits_for_the_quote() {
     assert!(matches!(ticket.wait_timeout(Duration::MAX), Some(Ok(_))));
 }
 
-/// Depth-driven shedding: once the queue depth fraction crosses the
-/// threshold, submissions are rejected with a positive retry hint and no
-/// admission slot is consumed.
-#[test]
-fn depth_crossing_sheds_submissions_with_a_retry_hint() {
-    let service = fresh_service(&policy(79));
-    let gateway = Gateway::start(
-        Arc::clone(&service),
-        GatewayConfig::default()
-            .with_executors(1)
-            // Park admitted requests in the forming batch.
-            .with_max_batch(64)
-            .with_max_delay(Duration::from_secs(30))
-            .with_queue_capacity(8)
-            .with_health(HealthConfig::default().with_shed_depth(0.5)),
-    );
-    let reqs = requests(6);
-    for req in &reqs[..4] {
-        gateway.submit(req.clone()).unwrap();
-    }
-    // Depth 4 of capacity 8 crosses the 0.5 shed threshold.
-    for req in &reqs[4..] {
-        match gateway.submit(req.clone()) {
-            Err(GatewayError::Shed { retry_after_us }) => assert!(retry_after_us > 0),
-            other => panic!("expected Shed, got {other:?}"),
-        }
-    }
-    let stats = gateway.shutdown(); // flushes and prices the parked four
-    assert_eq!(stats.shed, 2);
-    assert_eq!(stats.submitted, 4, "shed requests never consume a slot");
-    assert_eq!(stats.completed, 4);
-    assert_eq!(stats.queue_depth, 0);
-}
-
-/// The full degradation ladder on the latency signal: a severe p99 breach
-/// jumps straight to Degraded (cached quotes, unknown sessions shed), and
-/// calm observations walk the ladder back down one state at a time.
-#[test]
-fn severe_latency_degrades_to_cached_quotes_then_recovers_stepwise() {
-    let snap = policy(80);
-    let service = fresh_service(&snap);
-    let gateway = Gateway::start(
-        Arc::clone(&service),
-        serial_config()
-            // The first four batches each take ~20ms: far beyond 8x the
-            // 1µs SLO, so the first evaluated window is severe.
-            .with_faults(FaultPlan::new(7).with_batch_delay(Duration::from_millis(20), 4))
-            .with_health(
-                HealthConfig::default()
-                    .with_p99_slo_us(Some(1))
-                    .with_shed_depth(10.0)
-                    .with_degrade_depth(10.0)
-                    .with_recovery_observations(2),
-            ),
-    );
-    let session = 1u64;
-    let features = || vec![0.25, 0.75];
-    // Four slow completions build the latency window (and the session's
-    // last-quote cache).
-    let mut last_fresh = None;
-    for _ in 0..4 {
-        let quote = gateway
-            .submit(QuoteRequest::new(session, features()))
-            .unwrap()
-            .wait_timeout(Duration::from_secs(30))
-            .expect("slow batches still complete")
-            .unwrap();
-        assert!(!quote.degraded);
-        last_fresh = Some(quote);
-    }
-    // Observation 5 evaluates the 4-completion window: severe → Degraded →
-    // answered from the cache without pricing.
-    let cached = gateway
-        .submit(QuoteRequest::new(session, features()))
-        .unwrap()
-        .wait_timeout(Duration::from_secs(5))
-        .expect("degraded quotes resolve immediately")
-        .unwrap();
-    assert!(cached.degraded);
-    assert_eq!(cached.action, last_fresh.unwrap().action);
-    // A session with no cached quote is shed instead (calm observation 1:
-    // the idle pipeline cleared the sticky severe signal).
-    assert!(matches!(
-        gateway.submit(QuoteRequest::new(999, features())),
-        Err(GatewayError::Shed { .. })
-    ));
-    // Calm observation 2 steps Degraded → Shedding; observation 1 of the
-    // next streak holds it there.
-    for _ in 0..2 {
-        assert!(matches!(
-            gateway.submit(QuoteRequest::new(session, features())),
-            Err(GatewayError::Shed { .. })
-        ));
-    }
-    // Calm observation 2 of the second streak steps Shedding → Healthy:
-    // the request is admitted and priced for real again.
-    let recovered = gateway
-        .submit(QuoteRequest::new(session, features()))
-        .unwrap()
-        .wait_timeout(Duration::from_secs(30))
-        .expect("recovered gateway prices normally")
-        .unwrap();
-    assert!(!recovered.degraded);
-    let stats = gateway.shutdown();
-    assert_eq!(stats.degraded_quotes, 1);
-    assert_eq!(stats.shed, 3);
-    assert_eq!(stats.completed, 5, "4 slow + 1 recovered");
-    assert_eq!(
-        service.stats().quotes,
-        5,
-        "cached quotes never touch the service"
-    );
-}
-
 /// A fault plan with nothing armed changes nothing: the run is equivalent
 /// to a fault-free gateway, bit-for-bit.
 #[test]
@@ -586,6 +470,6 @@ fn empty_fault_plan_is_behaviourally_invisible() {
     }
     let stats = gateway.shutdown();
     assert_eq!(stats.completed, 12);
-    assert_eq!((stats.panics, stats.expired, stats.shed), (0, 0, 0));
+    assert_eq!((stats.panics, stats.expired), (0, 0));
     assert_eq!(service.state_digest(), reference_digest(&snap, &reqs));
 }

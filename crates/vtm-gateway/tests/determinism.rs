@@ -29,14 +29,13 @@ fn service(snapshot: &PolicySnapshot) -> Arc<PricingService> {
     )
 }
 
-/// A service config under capacity and TTL pressure, so the determinism
-/// contract is also exercised against eviction/expiry bookkeeping — state a
-/// quote-only comparison would miss.
+/// A service config under capacity pressure, so the determinism contract
+/// is also exercised against eviction bookkeeping — state a quote-only
+/// comparison would miss.
 fn pressured_config() -> ServiceConfig {
     ServiceConfig::new(HISTORY, FEATURES)
         .with_shards(4)
         .with_session_capacity(3)
-        .with_session_ttl(24)
 }
 
 /// The deterministic request stream both sides replay: `rounds` rounds of
@@ -78,7 +77,7 @@ fn quotes_digest(quotes: &[Quote]) -> u64 {
 }
 
 /// What one gateway (or direct) replay of the stream produced: the quote
-/// digest, the full service counters (sessions/quotes/evictions/expiries)
+/// digest, the full service counters (sessions/quotes/evictions)
 /// and the byte-identical service-state digest.
 #[derive(Debug, PartialEq)]
 struct RunOutcome {
@@ -120,14 +119,13 @@ fn gateway_outcome(
 /// The acceptance criterion: with a single executor and greedy mode, a
 /// gateway replay of a request sequence is indistinguishable from direct
 /// `PricingService::quote_batch` calls — not just quote-for-quote, but in
-/// the *complete* service state: session histories, LRU/TTL bookkeeping,
-/// eviction and expiry counters — regardless of how the executor slices
-/// the stream into micro-batches.
+/// the *complete* service state: session histories, LRU bookkeeping and
+/// the eviction counter — regardless of how the executor slices the stream
+/// into micro-batches.
 #[test]
 fn single_executor_greedy_gateway_matches_quote_batch_digest() {
-    // 13 sessions over 4 shards with capacity 3 and a TTL forces evictions
-    // and expiries, so batch-slicing invariance of that bookkeeping is
-    // exercised too (a quote-only comparison would miss divergence there).
+    // 13 sessions over 4 shards with capacity 3 forces evictions, so
+    // batch-slicing invariance of that bookkeeping is exercised too (a quote-only comparison would miss divergence there).
     let stream = request_stream(6, 13);
 
     // Reference: direct caller-formed batches, no gateway.

@@ -29,13 +29,12 @@ fn policy(seed: u64) -> PolicySnapshot {
     .snapshot()
 }
 
-/// Capacity and TTL pressure so replay must also reconstruct eviction and
-/// expiry bookkeeping, not just request histories.
+/// Capacity pressure so replay must also reconstruct eviction
+/// bookkeeping, not just request histories.
 fn service_config() -> ServiceConfig {
     ServiceConfig::new(HISTORY, FEATURES)
         .with_shards(4)
         .with_session_capacity(3)
-        .with_session_ttl(20)
 }
 
 fn fresh_service(snap: &PolicySnapshot) -> PricingService {

@@ -52,8 +52,6 @@ fn golden_snapshot() -> TelemetrySnapshot {
     snap.rejected = 10;
     snap.failed = 4;
     snap.expired = 3;
-    snap.shed = 2;
-    snap.degraded_quotes = 5;
     snap.panics = 1;
     snap.journal_retries = 2;
     snap.journal_bypassed = 3;
@@ -132,7 +130,7 @@ fn prometheus_exposition_matches_golden() {
     assert_golden("telemetry_metrics.prom", &text);
     for line in [
         "vtm_gateway_latency_us_bucket{shard=\"2\",le=\"+Inf\"} 6\n",
-        "vtm_gateway_info{shard=\"2\",precision=\"f64\",health=\"healthy\"} 1\n",
+        "vtm_gateway_info{shard=\"2\",precision=\"f64\"} 1\n",
         "vtm_gateway_stage_us_count{shard=\"2\",stage=\"inference\"} 6\n",
     ] {
         assert!(text.contains(line), "`{line}` missing from {text}");

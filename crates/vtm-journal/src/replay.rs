@@ -151,7 +151,6 @@ mod tests {
         ServiceConfig::new(2, 2)
             .with_shards(4)
             .with_session_capacity(3)
-            .with_session_ttl(8)
     }
 
     fn request(i: u64) -> QuoteRequest {

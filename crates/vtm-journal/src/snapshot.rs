@@ -286,6 +286,39 @@ mod tests {
         ));
     }
 
+    /// A snapshot in the kind-4 layout (per-session quote counters and
+    /// last actions, a store expiry counter) fails on its container kind,
+    /// before any state byte is read.
+    #[test]
+    fn kind_4_snapshots_fail_with_a_typed_wrong_kind() {
+        // 3 quotes served; 1 shard at tick 3 holding 1 session: id 7, last
+        // touched at tick 2, its quote counter 3, 1 feature block and a
+        // last action; then the eviction and expiry counters.
+        let mut state = PayloadWriter::new();
+        for field in [3, 1, 3, 1, 7, 2, 3, 1] {
+            state.write_u64(field);
+        }
+        state.write_f64_vec(&[0.5, 0.25]);
+        state.write_u64(1); // last-action tag
+        state.write_f64_vec(&[12.5]);
+        state.write_u64(0);
+        state.write_u64(0);
+        let mut w = PayloadWriter::new();
+        // Fingerprint, frames applied, history length, features, shards.
+        for field in [0xfeed, 3, 2, 2, 1] {
+            w.write_u64(field);
+        }
+        w.write_bytes(state.as_bytes());
+        let old = WeightCodec::encode(4, w.as_bytes());
+        assert!(matches!(
+            StateSnapshot::from_bytes(&old),
+            Err(JournalError::Snapshot(CodecError::WrongKind {
+                expected: 5,
+                found: 4
+            }))
+        ));
+    }
+
     #[test]
     fn restore_refuses_wrong_policy_and_geometry() {
         let config = ServiceConfig::new(2, 2);

@@ -23,13 +23,12 @@ fn policy(seed: u64) -> PolicySnapshot {
     .snapshot()
 }
 
-/// Small shards with capacity and TTL pressure, so the digest also pins
-/// eviction and expiry bookkeeping — the state a naive recovery would lose.
+/// Small shards with capacity pressure, so the digest also pins eviction
+/// bookkeeping — the state a naive recovery would lose.
 fn config() -> ServiceConfig {
     ServiceConfig::new(2, FEATURES)
         .with_shards(2)
         .with_session_capacity(2)
-        .with_session_ttl(6)
 }
 
 fn request(i: u64) -> QuoteRequest {

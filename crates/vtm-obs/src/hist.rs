@@ -108,22 +108,17 @@ impl LogHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// A lock-free copy of the raw cumulative bucket counts (callers that
-    /// window over time difference consecutive copies).
-    pub fn buckets_now(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// A point-in-time copy of the histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count.load(Ordering::Relaxed),
             sum_us: self.sum_us.load(Ordering::Relaxed),
             max_us: self.max_us.load(Ordering::Relaxed),
-            buckets: self.buckets_now(),
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
         }
     }
 }

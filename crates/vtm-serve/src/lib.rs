@@ -13,8 +13,9 @@
 //! * **sharded, bounded session state** — each VMU session keeps its own
 //!   rolling observation history behind one of `S` mutex shards
 //!   ([`SessionStore`]), so concurrent request handlers contend per shard
-//!   rather than on one global lock; per-shard capacity (LRU eviction) and
-//!   an idle TTL keep a fleet of distinct VMU ids from exhausting memory;
+//!   rather than on one global lock; per-shard capacity (LRU eviction)
+//!   keeps a fleet of distinct VMU ids from exhausting memory. A session's
+//!   state is its feature window, and pricing writes nothing back into it;
 //! * **batched forward** — [`PricingService::quote_batch`] prices a whole
 //!   round of requests with *one* actor matrix forward pass
 //!   ([`vtm_nn::mlp::Mlp::forward_rows`]) instead of one row-vector pass per

@@ -155,10 +155,6 @@ pub struct ServiceConfig {
     /// full shard evicts that shard's least-recently-touched session, so a
     /// fleet of distinct VMU ids cannot exhaust memory.
     pub session_capacity: usize,
-    /// Idle session lifetime in logical ticks — one tick per request served
-    /// by the session's shard (`0` = never expire). See
-    /// [`StoreConfig::ttl_quotes`].
-    pub session_ttl: u64,
     /// Worker threads for the batched forward pass (`1` = inline, `0` = one
     /// per core). Chunks of the batch are evaluated on scoped threads;
     /// results are bit-identical for every thread count because
@@ -183,7 +179,6 @@ impl ServiceConfig {
             features_per_round,
             shards: 16,
             session_capacity: 0,
-            session_ttl: 0,
             inference_threads: 1,
             precision: Precision::F64,
         }
@@ -198,12 +193,6 @@ impl ServiceConfig {
     /// Overrides the per-shard session capacity (`0` = unbounded).
     pub fn with_session_capacity(mut self, capacity: usize) -> Self {
         self.session_capacity = capacity;
-        self
-    }
-
-    /// Overrides the idle session TTL in logical ticks (`0` = never expire).
-    pub fn with_session_ttl(mut self, ttl: u64) -> Self {
-        self.session_ttl = ttl;
         self
     }
 
@@ -258,10 +247,6 @@ pub struct Quote {
     /// Whether the session's history window was already full (before
     /// warm-up, the observation pads the window with the oldest block).
     pub warmed: bool,
-    /// Whether this quote was answered from the session's last-quote cache
-    /// instead of a fresh policy evaluation (the gateway's degraded mode).
-    /// Freshly priced quotes always carry `false`.
-    pub degraded: bool,
 }
 
 impl Quote {
@@ -280,8 +265,6 @@ pub struct ServiceStats {
     pub quotes: u64,
     /// Sessions evicted because their shard hit capacity.
     pub evicted: u64,
-    /// Sessions purged because they exceeded the idle TTL.
-    pub expired: u64,
 }
 
 impl ServiceStats {
@@ -309,12 +292,6 @@ impl ServiceStats {
             "Sessions evicted because their shard hit capacity.",
             labels,
             self.evicted,
-        );
-        registry.counter(
-            "vtm_serve_sessions_expired_total",
-            "Sessions purged past the idle TTL.",
-            labels,
-            self.expired,
         );
     }
 }
@@ -447,8 +424,7 @@ impl PricingService {
             config.history_length,
             StoreConfig::default()
                 .with_shards(config.shards)
-                .with_capacity_per_shard(config.session_capacity)
-                .with_ttl_quotes(config.session_ttl),
+                .with_capacity_per_shard(config.session_capacity),
         );
         let inference = match config.precision {
             Precision::F64 => None,
@@ -495,7 +471,6 @@ impl PricingService {
             sessions: store.sessions,
             quotes: self.quotes_served.load(Ordering::Relaxed),
             evicted: store.evicted,
-            expired: store.expired,
         }
     }
 
@@ -539,14 +514,16 @@ impl PricingService {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::State`] for corrupt/truncated payloads or a
-    /// shard-count mismatch — never panics; the session store is left
-    /// unchanged on error.
+    /// Returns [`ServeError::State`] for corrupt/truncated payloads, a
+    /// shard-count mismatch and anything [`SessionStore::restore_payload`]
+    /// refuses (a session under the wrong shard, a feature block admission
+    /// would reject) — never panics; the session store is left unchanged
+    /// on error.
     pub fn restore_state(&self, payload: &[u8]) -> Result<(), ServeError> {
         let mut r = PayloadReader::new(payload);
         let quotes = r.read_u64().map_err(ServeError::State)?;
         self.store
-            .restore_payload(&mut r)
+            .restore_payload(&mut r, self.config.features_per_round)
             .map_err(ServeError::State)?;
         if !r.is_exhausted() {
             return Err(ServeError::State(CodecError::Invalid(format!(
@@ -560,8 +537,8 @@ impl PricingService {
 
     /// FNV-1a digest of [`PricingService::save_state`] — the byte-identical
     /// service-state witness the determinism, crash-recovery and replay
-    /// tests compare. Equal digests mean equal session histories, quote
-    /// counters, LRU/TTL bookkeeping and serving counters.
+    /// tests compare. Equal digests mean equal session histories, LRU
+    /// bookkeeping and serving counters.
     pub fn state_digest(&self) -> u64 {
         fnv1a(&self.save_state())
     }
@@ -620,7 +597,6 @@ impl PricingService {
         self.store.touch_grouped(&ids, |idx, session| {
             let req = requests[idx];
             session.push(req.features.clone(), self.config.history_length);
-            session.quotes += 1;
             warmed[idx] = session.warmed(self.config.history_length);
             rows[idx] = self.normalized(session.observation(self.config.history_length, features));
         });
@@ -633,26 +609,7 @@ impl PricingService {
             session,
             action: self.action_space.squash(mean),
             warmed,
-            degraded: false,
         }
-    }
-
-    /// Answers a quote from the session's cached last action *without*
-    /// pricing: no forward pass, no history push, no tick, no counter —
-    /// the session state is untouched, so serving degraded quotes never
-    /// perturbs the determinism contract. Returns `None` for sessions
-    /// that were never quoted (or whose state was evicted); the quote is
-    /// marked [`Quote::degraded`]. The cache deliberately ignores the
-    /// idle TTL — degraded mode would rather serve a stale price than
-    /// none.
-    pub fn cached_quote(&self, session: u64) -> Option<Quote> {
-        let (action, warmed) = self.store.peek_last_action(session)?;
-        Some(Quote {
-            session,
-            action,
-            warmed,
-            degraded: true,
-        })
     }
 
     /// Evaluates one contiguous chunk of observation rows through the
@@ -735,20 +692,11 @@ impl PricingService {
         let means = self.forward_means(&rows)?;
         self.quotes_served
             .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let quotes: Vec<Quote> = requests
+        Ok(requests
             .iter()
             .enumerate()
             .map(|(i, req)| self.quote_from_mean(req.session, &means[i], warmed[i]))
-            .collect();
-        // Refresh the degraded-mode caches; within-batch duplicates apply
-        // in request order, so the last request's action wins — exactly
-        // what sequential single-request calls would leave behind.
-        let updates: Vec<(u64, &[f64])> = quotes
-            .iter()
-            .map(|q| (q.session, q.action.as_slice()))
-            .collect();
-        self.store.record_last_actions(&updates);
-        Ok(quotes)
+            .collect())
     }
 
     /// Prices a single request: a one-request batch through
@@ -821,8 +769,8 @@ mod tests {
 
     /// Quotes one batch that prices session 0 three times, between sessions
     /// 1 and 2, on `batched`, and the same requests one at a time on
-    /// `sequential`: the repeats apply in request order, so quotes, state
-    /// and every session's cached last action (the last repeat's) agree.
+    /// `sequential`: the repeats apply in request order, so quotes and
+    /// state agree.
     fn assert_repeats_match_single_quotes(batched: &PricingService, sequential: &PricingService) {
         let pick = |session: usize, round: usize| requests(round, 3, 2)[session].clone();
         let batch = [
@@ -838,17 +786,6 @@ mod tests {
             .collect();
         assert_eq!(batched.quote_batch(&batch).unwrap(), via_single);
         assert_eq!(batched.state_digest(), sequential.state_digest());
-        for session in 0..9 {
-            assert_eq!(
-                batched.cached_quote(session),
-                sequential.cached_quote(session),
-                "session {session}"
-            );
-        }
-        assert_eq!(
-            batched.cached_quote(0).unwrap().action,
-            via_single[4].action
-        );
     }
 
     #[test]
@@ -1015,8 +952,7 @@ mod tests {
         let snap = snapshot(8, 11);
         let config = ServiceConfig::new(4, 2)
             .with_shards(4)
-            .with_session_capacity(4)
-            .with_session_ttl(16);
+            .with_session_capacity(4);
         let source = PricingService::from_snapshot(&snap, config).unwrap();
         for round in 0..5 {
             source.quote_batch(&requests(round, 11, 2)).unwrap();
@@ -1028,7 +964,7 @@ mod tests {
         assert_eq!(target.state_digest(), source.state_digest());
         assert_eq!(target.stats(), source.stats());
         // Future quotes agree bit-for-bit: the restored state carries the
-        // histories, quote counters and LRU/TTL bookkeeping.
+        // histories and LRU bookkeeping.
         for round in 5..8 {
             let reqs = requests(round, 11, 2);
             assert_eq!(
@@ -1063,6 +999,101 @@ mod tests {
         assert_eq!(service.state_digest(), digest);
     }
 
+    /// One shard of a hand-built payload: `(id, feature blocks)` sessions.
+    type ShardSessions = Vec<(u64, Vec<Vec<f64>>)>;
+
+    /// A hand-built service-state payload: no quotes served, then per
+    /// shard a tick, its sessions in the given order (each last touched at
+    /// tick 0), and nothing evicted.
+    fn state_payload(shards: &[ShardSessions]) -> Vec<u8> {
+        let mut w = PayloadWriter::new();
+        w.write_u64(0);
+        w.write_usize(shards.len());
+        for sessions in shards {
+            w.write_u64(sessions.len() as u64);
+            w.write_usize(sessions.len());
+            for (id, blocks) in sessions {
+                w.write_u64(*id);
+                w.write_u64(0);
+                w.write_usize(blocks.len());
+                for block in blocks {
+                    w.write_f64_vec(block);
+                }
+            }
+        }
+        w.write_u64(0);
+        w.into_bytes()
+    }
+
+    /// A restored payload is held to what admission holds a request to: a
+    /// feature block of the wrong width or with a non-finite value, a
+    /// session under a shard its id does not hash to, and ids out of
+    /// ascending order (duplicates included) are refused with a typed
+    /// error, with or without an observation normalizer, and leave the
+    /// service exactly as it was.
+    #[test]
+    fn state_restore_refuses_what_admission_refuses() {
+        let mut agent = PpoAgent::new(
+            PpoConfig::new(8, 1).with_seed(16),
+            ActionSpace::scalar(5.0, 50.0),
+        );
+        let plain = agent.snapshot();
+        agent.set_obs_normalizer(Some(RunningMeanStd::new(8)));
+        let normalized = agent.snapshot();
+        let config = ServiceConfig::new(4, 2).with_shards(2);
+        let probe = PricingService::from_snapshot(&plain, config).unwrap();
+        let shard_of = |id| probe.session_store().shard_of(id);
+        let mut first_shard = (100..).filter(|&id| shard_of(id) == 0);
+        let (a, b) = (first_shard.next().unwrap(), first_shard.next().unwrap());
+        let c = (100..).find(|&id| shard_of(id) == 1).unwrap();
+        let full = || vec![vec![0.5, 0.25]; 4];
+        // Session `a` with its newest block replaced.
+        let newest = |block| {
+            let mut blocks = full();
+            blocks[3] = block;
+            vec![(a, blocks)]
+        };
+        let first = |sessions| state_payload(&[sessions, vec![]]);
+        let cases = [
+            ("5-wide block", first(newest(vec![0.5; 5]))),
+            ("NaN feature", first(newest(vec![f64::NAN, 0.5]))),
+            ("infinite feature", first(newest(vec![0.5, f64::INFINITY]))),
+            ("wrong shard", state_payload(&[vec![], vec![(a, full())]])),
+            ("duplicate id", first(vec![(a, full()), (a, full())])),
+            ("descending ids", first(vec![(b, full()), (a, full())])),
+        ];
+        let valid = state_payload(&[vec![(a, full()), (b, full())], vec![(c, full())]]);
+        for snapshot in [&plain, &normalized] {
+            let service = PricingService::from_snapshot(snapshot, config).unwrap();
+            let twin = PricingService::from_snapshot(snapshot, config).unwrap();
+            for s in [&service, &twin] {
+                s.quote_batch(&requests(0, 3, 2)).unwrap();
+            }
+            for (round, (case, payload)) in (1..).zip(&cases) {
+                let result = service.restore_state(payload);
+                assert!(
+                    matches!(result, Err(ServeError::State(CodecError::Invalid(_)))),
+                    "{case}: {result:?}"
+                );
+                assert_eq!(service.state_digest(), twin.state_digest(), "{case}");
+                // Clean sessions quote exactly as on a service that never
+                // saw the payload.
+                let reqs = requests(round, 3, 2);
+                assert_eq!(
+                    service.quote_batch(&reqs).unwrap(),
+                    twin.quote_batch(&reqs).unwrap(),
+                    "{case}"
+                );
+            }
+            // The same builder's well-formed payload restores, and its
+            // sessions quote from their full restored windows.
+            service.restore_state(&valid).unwrap();
+            assert_eq!(service.stats().sessions, 3);
+            let quote = service.quote_one(&QuoteRequest::new(a, vec![0.5, 0.25]));
+            assert!(quote.unwrap().warmed);
+        }
+    }
+
     #[test]
     fn policy_fingerprint_identifies_the_snapshot() {
         let snap_a = snapshot(8, 13);
@@ -1072,27 +1103,6 @@ mod tests {
         let snap_b = snapshot(8, 14);
         let b = PricingService::from_snapshot(&snap_b, ServiceConfig::new(4, 2)).unwrap();
         assert_ne!(a1.policy_fingerprint(), b.policy_fingerprint());
-    }
-
-    #[test]
-    fn cached_quotes_mirror_the_last_priced_action_without_state_changes() {
-        let snap = snapshot(6, 15);
-        let service = PricingService::from_snapshot(&snap, ServiceConfig::new(3, 2)).unwrap();
-        assert!(service.cached_quote(3).is_none(), "never-quoted session");
-        let fresh = service.quote_batch(&requests(0, 4, 2)).unwrap();
-        assert!(fresh.iter().all(|q| !q.degraded));
-        let digest = service.state_digest();
-        let cached = service.cached_quote(3).unwrap();
-        assert!(cached.degraded);
-        assert_eq!(cached.action, fresh[3].action);
-        assert_eq!(cached.warmed, fresh[3].warmed);
-        // Serving from the cache is a pure read: counters, histories and
-        // LRU/TTL bookkeeping are untouched.
-        assert_eq!(service.state_digest(), digest);
-        assert_eq!(service.stats().quotes, 4);
-        // The cache tracks the most recent round.
-        let newer = service.quote_batch(&requests(1, 4, 2)).unwrap();
-        assert_eq!(service.cached_quote(3).unwrap().action, newer[3].action);
     }
 
     /// Index of the largest element — the "which action wins" witness the
@@ -1130,9 +1140,10 @@ mod tests {
                 );
             }
         }
-        // Session bookkeeping (histories, ticks, counters) is precision-
-        // independent: only the cached last actions may differ.
+        // Session state (histories, ticks, counters) is precision-
+        // independent: pricing writes nothing back into it.
         assert_eq!(reference.stats(), quantized.stats());
+        assert_eq!(reference.state_digest(), quantized.state_digest());
     }
 
     #[test]

@@ -12,12 +12,6 @@ use vtm_nn::codec::{CodecError, PayloadReader, PayloadWriter};
 pub struct Session {
     /// The most recent feature blocks, oldest first (at most `L`).
     history: VecDeque<Vec<f64>>,
-    /// Quotes served to this session so far.
-    pub quotes: u64,
-    /// The raw policy action behind the most recent quote served to this
-    /// session — the degraded-mode answer when the pricing pipeline is
-    /// unavailable.
-    last_action: Option<Vec<f64>>,
 }
 
 impl Session {
@@ -25,20 +19,7 @@ impl Session {
     pub fn new(history_length: usize) -> Self {
         Self {
             history: VecDeque::with_capacity(history_length),
-            quotes: 0,
-            last_action: None,
         }
-    }
-
-    /// Records the raw action behind the latest quote served to this
-    /// session (the degraded-mode cache).
-    pub fn set_last_action(&mut self, action: Vec<f64>) {
-        self.last_action = Some(action);
-    }
-
-    /// The raw action behind the latest quote, if one was ever served.
-    pub fn last_action(&self) -> Option<&[f64]> {
-        self.last_action.as_deref()
     }
 
     /// Appends the newest round's feature block, dropping the oldest once the
@@ -73,35 +54,31 @@ impl Session {
         obs
     }
 
-    /// Serializes the session into a payload: the quote counter followed by
-    /// the buffered feature blocks, oldest first. Floats are stored as raw
-    /// bit patterns, so save → load → observe is bit-exact.
+    /// Serializes the session into a payload: the buffered feature blocks,
+    /// oldest first. Floats are stored as raw bit patterns, so save → load
+    /// → observe is bit-exact.
     pub fn save_payload(&self, w: &mut PayloadWriter) {
-        w.write_u64(self.quotes);
         w.write_usize(self.history.len());
         for block in &self.history {
             w.write_f64_vec(block);
         }
-        match &self.last_action {
-            Some(action) => {
-                w.write_u64(1);
-                w.write_f64_vec(action);
-            }
-            None => w.write_u64(0),
-        }
     }
 
-    /// Reconstructs a session written by [`Session::save_payload`].
+    /// Reconstructs a session written by [`Session::save_payload`] for a
+    /// window of `history_length` blocks of `features` values each. Every
+    /// block is held to what admission holds a request to: exactly
+    /// `features` wide, every value finite.
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`CodecError`] for truncated or structurally
-    /// invalid payloads — never panics on corrupt input.
+    /// Returns the underlying [`CodecError`] for truncated payloads and
+    /// [`CodecError::Invalid`] for too many blocks, a block of the wrong
+    /// width or a non-finite value — never panics on corrupt input.
     pub fn load_payload(
         r: &mut PayloadReader<'_>,
         history_length: usize,
+        features: usize,
     ) -> Result<Self, CodecError> {
-        let quotes = r.read_u64()?;
         let blocks = r.read_usize()?;
         if blocks > history_length {
             return Err(CodecError::Invalid(format!(
@@ -110,22 +87,16 @@ impl Session {
         }
         let mut history = VecDeque::with_capacity(history_length);
         for _ in 0..blocks {
-            history.push_back(r.read_f64_vec()?);
-        }
-        let last_action = match r.read_u64()? {
-            0 => None,
-            1 => Some(r.read_f64_vec()?),
-            tag => {
+            let block = r.read_f64_vec()?;
+            if block.len() != features || !block.iter().all(|f| f.is_finite()) {
                 return Err(CodecError::Invalid(format!(
-                    "session last-action tag must be 0 or 1, got {tag}"
-                )))
+                    "session block of {} values is not {features} finite features",
+                    block.len()
+                )));
             }
-        };
-        Ok(Self {
-            history,
-            quotes,
-            last_action,
-        })
+            history.push_back(block);
+        }
+        Ok(Self { history })
     }
 }
 
@@ -152,17 +123,14 @@ mod tests {
         let mut s = Session::new(3);
         s.push(vec![0.1, -2.5], 3);
         s.push(vec![f64::MIN_POSITIVE, 7.75], 3);
-        s.quotes = 42;
-        s.set_last_action(vec![13.25, -0.5]);
         let mut w = PayloadWriter::new();
         s.save_payload(&mut w);
         let bytes = w.into_bytes();
         let mut r = PayloadReader::new(&bytes);
-        let restored = Session::load_payload(&mut r, 3).unwrap();
+        let restored = Session::load_payload(&mut r, 3, 2).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(restored, s);
         assert_eq!(restored.observation(3, 2), s.observation(3, 2));
-        assert_eq!(restored.last_action(), Some(&[13.25, -0.5][..]));
     }
 
     #[test]
@@ -173,28 +141,16 @@ mod tests {
         // Truncation mid-payload.
         let mut r = PayloadReader::new(&bytes[..4]);
         assert!(matches!(
-            Session::load_payload(&mut r, 2),
+            Session::load_payload(&mut r, 2, 1),
             Err(CodecError::Truncated { .. })
         ));
         // A block count beyond the window is structurally invalid.
         let mut w = PayloadWriter::new();
-        w.write_u64(0);
         w.write_usize(9);
         let bytes = w.into_bytes();
         let mut r = PayloadReader::new(&bytes);
         assert!(matches!(
-            Session::load_payload(&mut r, 2),
-            Err(CodecError::Invalid(_))
-        ));
-        // A last-action tag other than 0/1 is structurally invalid.
-        let mut w = PayloadWriter::new();
-        w.write_u64(0);
-        w.write_usize(0);
-        w.write_u64(7);
-        let bytes = w.into_bytes();
-        let mut r = PayloadReader::new(&bytes);
-        assert!(matches!(
-            Session::load_payload(&mut r, 2),
+            Session::load_payload(&mut r, 2, 1),
             Err(CodecError::Invalid(_))
         ));
     }

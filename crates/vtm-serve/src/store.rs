@@ -1,22 +1,18 @@
-//! Sharded, capacity-bounded session store with LRU/TTL eviction.
+//! Sharded, capacity-bounded session store with LRU eviction.
 //!
 //! The serving layer keeps one rolling observation window per VMU session.
 //! At fleet scale ("millions of users") an unbounded map is a memory leak
 //! with extra steps: trips end, vehicles park, ids are never seen again.
-//! [`SessionStore`] bounds that state in two independent ways:
-//!
-//! * **capacity** — each shard holds at most `capacity_per_shard` sessions;
-//!   inserting into a full shard evicts the least-recently-touched session
-//!   of *that shard only* (eviction never crosses a shard boundary);
-//! * **TTL** — sessions untouched for more than `ttl_quotes` logical ticks
-//!   are expired: authoritatively checked when the session is next touched,
-//!   and lazily swept whenever the shard is locked (memory reclamation).
+//! [`SessionStore`] bounds that state by **capacity**: each shard holds at
+//! most `capacity_per_shard` sessions, and inserting into a full shard
+//! evicts the least-recently-touched session of *that shard only*
+//! (eviction never crosses a shard boundary).
 //!
 //! Time is *logical*, not wall-clock, and **per shard**: each shard
-//! advances one tick per request it serves, so a session's idle age is
+//! advances one tick per request it serves, so a session's recency is
 //! "requests its shard has served since it was last touched". Because a
 //! shard always sees its requests in submission order no matter how the
-//! caller slices the stream into batches, every capacity/TTL decision that
+//! caller slices the stream into batches, every eviction decision that
 //! affects quote output is a pure function of the request sequence — which
 //! is what lets the gateway's determinism contract (single-executor
 //! gateway ≡ direct batch calls) extend to stores with eviction enabled.
@@ -37,18 +33,14 @@ pub struct StoreConfig {
     /// Maximum live sessions per shard; `0` = unbounded. Inserting into a
     /// full shard evicts that shard's least-recently-touched session.
     pub capacity_per_shard: usize,
-    /// Idle lifetime in logical ticks (one tick per request served *by the
-    /// session's shard*); `0` = never expire.
-    pub ttl_quotes: u64,
 }
 
 impl Default for StoreConfig {
-    /// 16 shards, unbounded capacity, no TTL — the pre-gateway behaviour.
+    /// 16 shards, unbounded capacity — the pre-gateway behaviour.
     fn default() -> Self {
         Self {
             shards: 16,
             capacity_per_shard: 0,
-            ttl_quotes: 0,
         }
     }
 }
@@ -65,12 +57,6 @@ impl StoreConfig {
         self.capacity_per_shard = capacity;
         self
     }
-
-    /// Overrides the idle TTL in logical ticks (`0` = never expire).
-    pub fn with_ttl_quotes(mut self, ttl: u64) -> Self {
-        self.ttl_quotes = ttl;
-        self
-    }
 }
 
 /// Aggregate counters of a [`SessionStore`].
@@ -80,8 +66,6 @@ pub struct StoreStats {
     pub sessions: usize,
     /// Sessions evicted because their shard hit capacity.
     pub evicted: u64,
-    /// Sessions purged because they exceeded the idle TTL.
-    pub expired: u64,
 }
 
 /// One shard entry: the session plus its last-touched shard tick.
@@ -100,14 +84,13 @@ struct Shard {
 }
 
 /// A sharded map from session id to rolling observation state, bounded by
-/// per-shard capacity (LRU eviction) and an idle TTL. See the module docs.
+/// per-shard capacity (LRU eviction). See the module docs.
 #[derive(Debug)]
 pub struct SessionStore {
     config: StoreConfig,
     history_length: usize,
     shards: Vec<Mutex<Shard>>,
     evicted: AtomicU64,
-    expired: AtomicU64,
 }
 
 impl SessionStore {
@@ -126,7 +109,6 @@ impl SessionStore {
             history_length,
             shards,
             evicted: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
         }
     }
 
@@ -205,7 +187,6 @@ impl SessionStore {
         StoreStats {
             sessions: self.len(),
             evicted: self.evicted.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
         }
     }
 
@@ -217,24 +198,6 @@ impl SessionStore {
             .sessions
             .remove(&session)
             .is_some()
-    }
-
-    /// Sweeps every entry of a locked shard whose idle age exceeds the TTL
-    /// (memory reclamation; quote-visible expiry is decided at touch time).
-    fn purge_expired(&self, shard: &mut Shard) {
-        let ttl = self.config.ttl_quotes;
-        if ttl == 0 || shard.sessions.is_empty() {
-            return;
-        }
-        let now = shard.tick;
-        let before = shard.sessions.len();
-        shard
-            .sessions
-            .retain(|_, entry| now.saturating_sub(entry.last_touched) <= ttl);
-        let purged = before - shard.sessions.len();
-        if purged > 0 {
-            self.expired.fetch_add(purged as u64, Ordering::Relaxed);
-        }
     }
 
     /// Evicts the least-recently-touched entry of a locked shard.
@@ -251,7 +214,7 @@ impl SessionStore {
 
     /// Serializes the complete store state into a payload in a *canonical*
     /// form: shards in index order, each shard's logical clock followed by
-    /// its entries sorted by session id, then the eviction counters. Two
+    /// its entries sorted by session id, then the eviction counter. Two
     /// stores holding the same logical state always serialize to identical
     /// bytes, so the payload doubles as the store's determinism digest
     /// input (replay tests hash it with FNV-1a).
@@ -274,21 +237,28 @@ impl SessionStore {
             }
         }
         w.write_u64(self.evicted.load(Ordering::Relaxed));
-        w.write_u64(self.expired.load(Ordering::Relaxed));
     }
 
     /// Replaces the store's entire state with one written by
-    /// [`SessionStore::save_payload`]. The shard count must match this
-    /// store's configuration (shard assignment is a pure function of the
-    /// shard count, so restoring across a different sharding would
-    /// scatter sessions to the wrong locks).
+    /// [`SessionStore::save_payload`] for sessions of `features` values per
+    /// round. The shard count must match this store's configuration (shard
+    /// assignment is a pure function of the shard count, so restoring
+    /// across a different sharding would scatter sessions to the wrong
+    /// locks), every id must be listed, in strictly ascending order, under
+    /// the shard [`SessionStore::shard_of`] names, and every session must
+    /// pass [`Session::load_payload`]'s checks — the same width and
+    /// finiteness admission holds a request to.
     ///
     /// # Errors
     ///
     /// Returns a typed [`CodecError`] for truncated or structurally invalid
     /// payloads and for a shard-count mismatch — never panics. On error the
     /// store is left unchanged.
-    pub fn restore_payload(&self, r: &mut PayloadReader<'_>) -> Result<(), CodecError> {
+    pub fn restore_payload(
+        &self,
+        r: &mut PayloadReader<'_>,
+        features: usize,
+    ) -> Result<(), CodecError> {
         let shards = r.read_usize()?;
         if shards != self.shards.len() {
             return Err(CodecError::Invalid(format!(
@@ -297,84 +267,46 @@ impl SessionStore {
             )));
         }
         // Decode fully before touching the live shards so a corrupt tail
-        // cannot leave the store half-restored. One decoded shard is its
-        // logical tick plus `(id, last_touched, session)` rows.
-        type DecodedShard = (u64, Vec<(u64, u64, Session)>);
-        let mut decoded: Vec<DecodedShard> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let tick = r.read_u64()?;
-            let entries = r.read_usize()?;
-            let mut sessions = Vec::with_capacity(entries.min(1024));
-            for _ in 0..entries {
+        // cannot leave the store half-restored.
+        let mut decoded = Vec::with_capacity(shards);
+        for index in 0..shards {
+            let mut shard = Shard {
+                sessions: HashMap::new(),
+                tick: r.read_u64()?,
+            };
+            let mut previous = None;
+            for _ in 0..r.read_usize()? {
                 let id = r.read_u64()?;
+                if previous.is_some_and(|previous| previous >= id) {
+                    return Err(CodecError::Invalid(format!(
+                        "shard {index} lists session {id} out of ascending order"
+                    )));
+                }
+                if self.shard_of(id) != index {
+                    return Err(CodecError::Invalid(format!(
+                        "session {id} is listed under shard {index}, belongs to shard {}",
+                        self.shard_of(id)
+                    )));
+                }
+                previous = Some(id);
                 let last_touched = r.read_u64()?;
-                let session = Session::load_payload(r, self.history_length)?;
-                sessions.push((id, last_touched, session));
+                let session = Session::load_payload(r, self.history_length, features)?;
+                shard.sessions.insert(
+                    id,
+                    Entry {
+                        session,
+                        last_touched,
+                    },
+                );
             }
-            decoded.push((tick, sessions));
+            decoded.push(shard);
         }
         let evicted = r.read_u64()?;
-        let expired = r.read_u64()?;
-        for (shard, (tick, sessions)) in self.shards.iter().zip(decoded) {
-            let mut shard = shard.lock().expect("shard poisoned");
-            shard.tick = tick;
-            shard.sessions = sessions
-                .into_iter()
-                .map(|(id, last_touched, session)| {
-                    (
-                        id,
-                        Entry {
-                            session,
-                            last_touched,
-                        },
-                    )
-                })
-                .collect();
+        for (live, shard) in self.shards.iter().zip(decoded) {
+            *live.lock().expect("shard poisoned") = shard;
         }
         self.evicted.store(evicted, Ordering::Relaxed);
-        self.expired.store(expired, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Records the raw actions behind freshly served quotes into their
-    /// sessions' degraded-mode caches, grouping by shard so each touched
-    /// shard is locked exactly once.
-    ///
-    /// This is a *pure write-back*: it advances no logical clock and
-    /// refreshes no LRU stamp, so it cannot change any future TTL or
-    /// eviction decision — the store's slicing-invariance (and with it the
-    /// gateway determinism contract) is untouched. Ids whose session has
-    /// already been evicted are skipped, never resurrected.
-    pub fn record_last_actions(&self, updates: &[(u64, &[f64])]) {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (idx, &(id, _)) in updates.iter().enumerate() {
-            by_shard[self.shard_of(id)].push(idx);
-        }
-        for (shard, indices) in self.shards.iter().zip(by_shard.iter()) {
-            if indices.is_empty() {
-                continue;
-            }
-            let mut shard = shard.lock().expect("shard poisoned");
-            for &idx in indices {
-                let (id, action) = updates[idx];
-                if let Some(entry) = shard.sessions.get_mut(&id) {
-                    entry.session.set_last_action(action.to_vec());
-                }
-            }
-        }
-    }
-
-    /// Reads a session's cached last action without touching it: no tick,
-    /// no LRU refresh, and deliberately no TTL check — degraded mode would
-    /// rather serve a stale quote than none. Returns the action together
-    /// with whether the session's observation window was warm.
-    pub fn peek_last_action(&self, session: u64) -> Option<(Vec<f64>, bool)> {
-        let shard = self.shards[self.shard_of(session)]
-            .lock()
-            .expect("shard poisoned");
-        let entry = shard.sessions.get(&session)?;
-        let action = entry.session.last_action()?.to_vec();
-        Some((action, entry.session.warmed(self.history_length)))
     }
 
     /// Visits (creating on demand) the session of every id in `ids`,
@@ -383,39 +315,26 @@ impl SessionStore {
     /// Ids are grouped by shard so each touched shard is locked exactly
     /// once; within a shard, ids are visited in their `ids` order (so
     /// repeated requests for the same session apply in request order).
-    /// Every visit advances the shard's logical clock by one tick. A
-    /// touched session whose idle age exceeds the TTL restarts cold even
-    /// if the lazy sweep has not reclaimed it yet — the expiry decision
-    /// uses only per-shard request ticks, so quote-visible behaviour is
-    /// invariant to how the request stream is sliced into batches.
-    /// Inserting into a full shard evicts that shard's LRU entry first.
+    /// Every visit advances the shard's logical clock by one tick and
+    /// stamps the session with it. Inserting into a full shard evicts that
+    /// shard's LRU entry first; the choice uses only per-shard request
+    /// ticks, so it is invariant to how the request stream is sliced into
+    /// batches.
     pub fn touch_grouped(&self, ids: &[u64], mut f: impl FnMut(usize, &mut Session)) {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (idx, &id) in ids.iter().enumerate() {
             by_shard[self.shard_of(id)].push(idx);
         }
         let capacity = self.config.capacity_per_shard;
-        let ttl = self.config.ttl_quotes;
         for (shard, indices) in self.shards.iter().zip(by_shard.iter()) {
             if indices.is_empty() {
                 continue;
             }
             let mut shard = shard.lock().expect("shard poisoned");
-            self.purge_expired(&mut shard);
             for &idx in indices {
                 let id = ids[idx];
                 let now = shard.tick;
                 shard.tick += 1;
-                if ttl > 0 {
-                    let stale = shard
-                        .sessions
-                        .get(&id)
-                        .is_some_and(|e| now.saturating_sub(e.last_touched) > ttl);
-                    if stale {
-                        shard.sessions.remove(&id);
-                        self.expired.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
                 if !shard.sessions.contains_key(&id)
                     && capacity > 0
                     && shard.sessions.len() >= capacity
@@ -437,19 +356,18 @@ impl SessionStore {
 mod tests {
     use super::*;
 
-    fn store(shards: usize, capacity: usize, ttl: u64) -> SessionStore {
+    fn store(shards: usize, capacity: usize) -> SessionStore {
         SessionStore::new(
             2,
             StoreConfig::default()
                 .with_shards(shards)
-                .with_capacity_per_shard(capacity)
-                .with_ttl_quotes(ttl),
+                .with_capacity_per_shard(capacity),
         )
     }
 
     #[test]
     fn capacity_evicts_the_lru_session() {
-        let store = store(1, 2, 0);
+        let store = store(1, 2);
         store.touch_grouped(&[1, 2], |_, _| {});
         store.touch_grouped(&[1], |_, _| {}); // 2 becomes the LRU
         store.touch_grouped(&[3], |_, _| {});
@@ -460,84 +378,49 @@ mod tests {
     }
 
     #[test]
-    fn ttl_purges_idle_sessions_lazily() {
-        let store = store(1, 0, 3);
-        store.touch_grouped(&[7], |_, _| {});
-        // Ticks 1..=4 touch another id; id 7 ages past the 3-tick TTL.
-        for _ in 0..4 {
-            store.touch_grouped(&[8], |_, _| {});
-        }
-        store.touch_grouped(&[9], |_, _| {});
-        assert!(!store.contains(7), "idle session must expire");
-        assert!(store.contains(8));
-        assert!(store.stats().expired >= 1);
-    }
-
-    #[test]
     fn ttl_and_eviction_behaviour_are_invariant_to_batch_slicing() {
         // The same request sequence, submitted one-by-one vs as one big
-        // batch, must leave every session in the same quote-visible state
-        // (the determinism contract the gateway leans on, with TTL and
-        // capacity eviction enabled).
-        let singles = store(4, 2, 2);
-        let batched = store(4, 2, 2);
+        // batch, must leave every session with the same feature window
+        // (the determinism contract the gateway leans on, with capacity
+        // eviction enabled). Visit `i` pushes the block `[i]`, so a window
+        // names the visits it kept, and an evicted session restarts empty.
+        let singles = store(4, 2);
+        let batched = store(4, 2);
         let sequence: Vec<u64> = vec![0, 9, 17, 3, 9, 0, 25, 3, 17, 9, 0, 33, 9, 41, 0];
-        for &id in &sequence {
-            singles.touch_grouped(&[id], |_, s| s.quotes += 1);
+        for (i, &id) in sequence.iter().enumerate() {
+            singles.touch_grouped(&[id], |_, s| s.push(vec![i as f64], 2));
         }
-        batched.touch_grouped(&sequence, |_, s| s.quotes += 1);
+        batched.touch_grouped(&sequence, |i, s| s.push(vec![i as f64], 2));
+        assert!(batched.stats().evicted > 0, "the sequence never evicted");
         // Probe every id once and compare the observable session state.
         let mut probe: Vec<u64> = sequence.clone();
         probe.sort_unstable();
         probe.dedup();
-        let mut seen_singles = Vec::new();
-        singles.touch_grouped(&probe, |idx, s| {
-            s.quotes += 1;
-            seen_singles.push((probe[idx], s.quotes));
-        });
-        let mut seen_batched = Vec::new();
-        batched.touch_grouped(&probe, |idx, s| {
-            s.quotes += 1;
-            seen_batched.push((probe[idx], s.quotes));
-        });
-        seen_singles.sort_unstable();
-        seen_batched.sort_unstable();
-        assert_eq!(seen_singles, seen_batched);
+        let windows = |store: &SessionStore| {
+            let mut seen = Vec::new();
+            store.touch_grouped(&probe, |idx, s| {
+                seen.push((probe[idx], s.warmed(2), s.observation(2, 1)));
+            });
+            seen.sort_by_key(|&(id, ..)| id);
+            seen
+        };
+        assert_eq!(windows(&singles), windows(&batched));
     }
 
     #[test]
     fn grouped_visits_preserve_input_order_per_session() {
-        let store = store(4, 0, 0);
+        let store = store(4, 0);
         let mut seen = Vec::new();
         store.touch_grouped(&[5, 5, 5], |idx, session| {
-            session.quotes += 1;
-            seen.push((idx, session.quotes));
+            session.push(vec![idx as f64], 2);
+            seen.push(session.observation(2, 1));
         });
-        assert_eq!(seen, vec![(0, 1), (1, 2), (2, 3)]);
-    }
-
-    #[test]
-    fn last_action_write_back_is_invisible_to_eviction_and_ttl() {
-        let store = store(1, 2, 0);
-        store.touch_grouped(&[1, 2], |_, _| {});
-        store.touch_grouped(&[1], |_, _| {}); // 2 becomes the LRU
-        assert_eq!(store.peek_last_action(1), None);
-        // Writing 2's last action must NOT refresh its LRU stamp…
-        store.record_last_actions(&[(2, &[9.5][..]), (1, &[4.0][..])]);
-        assert_eq!(store.peek_last_action(2), Some((vec![9.5], false)));
-        // …and peeking must not either: inserting 3 still evicts 2.
-        store.touch_grouped(&[3], |_, _| {});
-        assert!(!store.contains(2));
-        assert_eq!(store.peek_last_action(2), None);
-        assert_eq!(store.peek_last_action(1), Some((vec![4.0], false)));
-        // Absent sessions are skipped, never resurrected.
-        store.record_last_actions(&[(99, &[1.0][..])]);
-        assert!(!store.contains(99));
+        assert_eq!(seen, [[0.0, 0.0], [0.0, 1.0], [1.0, 2.0]]);
     }
 
     #[test]
     fn state_round_trip_is_byte_identical_and_behaviour_preserving() {
-        let source = store(4, 2, 3);
+        let source = store(4, 2);
         let sequence: Vec<u64> = vec![0, 9, 17, 3, 9, 0, 25, 3, 17, 9, 0, 33, 9, 41, 0];
         for &id in &sequence {
             source.touch_grouped(&[id], |_, s| {
@@ -548,9 +431,9 @@ mod tests {
         source.save_payload(&mut w);
         let bytes = w.into_bytes();
 
-        let restored = store(4, 2, 3);
+        let restored = store(4, 2);
         let mut r = PayloadReader::new(&bytes);
-        restored.restore_payload(&mut r).unwrap();
+        restored.restore_payload(&mut r, 2).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(restored.stats(), source.stats());
 
@@ -560,45 +443,43 @@ mod tests {
         restored.save_payload(&mut w2);
         assert_eq!(w2.as_bytes(), bytes.as_slice());
 
-        // Behaviour equivalence: future touches (incl. TTL/LRU decisions,
-        // which depend on the restored ticks and LRU stamps) agree.
+        // Behaviour equivalence: future touches (incl. LRU decisions, which
+        // depend on the restored ticks and LRU stamps) agree.
         let probe: Vec<u64> = vec![49, 9, 0, 57, 17];
-        let mut seen_source = Vec::new();
-        source.touch_grouped(&probe, |idx, s| {
-            s.quotes += 1;
-            seen_source.push((probe[idx], s.quotes, s.warmed(2)));
-        });
-        let mut seen_restored = Vec::new();
-        restored.touch_grouped(&probe, |idx, s| {
-            s.quotes += 1;
-            seen_restored.push((probe[idx], s.quotes, s.warmed(2)));
-        });
-        assert_eq!(seen_source, seen_restored);
+        let visit = |store: &SessionStore| {
+            let mut seen = Vec::new();
+            store.touch_grouped(&probe, |idx, s| {
+                s.push(vec![idx as f64, 1.0], 2);
+                seen.push((probe[idx], s.observation(2, 2), s.warmed(2)));
+            });
+            seen
+        };
+        assert_eq!(visit(&source), visit(&restored));
         assert_eq!(source.stats(), restored.stats());
     }
 
     #[test]
     fn restore_rejects_mismatched_shard_count_and_corrupt_payloads() {
-        let source = store(2, 0, 0);
+        let source = store(2, 0);
         source.touch_grouped(&[1, 2, 3], |_, _| {});
         let mut w = PayloadWriter::new();
         source.save_payload(&mut w);
         let bytes = w.into_bytes();
 
-        let wrong_shards = store(4, 0, 0);
+        let wrong_shards = store(4, 0);
         let mut r = PayloadReader::new(&bytes);
         assert!(matches!(
-            wrong_shards.restore_payload(&mut r),
+            wrong_shards.restore_payload(&mut r, 1),
             Err(CodecError::Invalid(_))
         ));
 
         // A truncated payload fails with a typed error and leaves the
         // target store untouched.
-        let target = store(2, 0, 0);
+        let target = store(2, 0);
         target.touch_grouped(&[77], |_, _| {});
         let mut r = PayloadReader::new(&bytes[..bytes.len() - 5]);
         assert!(matches!(
-            target.restore_payload(&mut r),
+            target.restore_payload(&mut r, 1),
             Err(CodecError::Truncated { .. })
         ));
         assert!(target.contains(77), "failed restore must not clobber state");
@@ -606,12 +487,11 @@ mod tests {
 
     #[test]
     fn unbounded_store_never_evicts() {
-        let store = store(4, 0, 0);
+        let store = store(4, 0);
         let ids: Vec<u64> = (0..100).collect();
         store.touch_grouped(&ids, |_, _| {});
         assert_eq!(store.len(), 100);
         assert_eq!(store.stats().evicted, 0);
-        assert_eq!(store.stats().expired, 0);
         assert!(store.remove(42));
         assert!(!store.remove(42));
         assert_eq!(store.len(), 99);

@@ -71,5 +71,5 @@ fn greedy_f64_quotes_and_state_digest_are_pinned() {
     assert!(service.stats().evicted > 0, "the store never evicted");
     let bytes: Vec<u8> = prices.iter().flat_map(|p| p.to_le_bytes()).collect();
     assert_eq!(fnv1a(&bytes), 0x59d9_275d_f7ee_005e);
-    assert_eq!(service.state_digest(), 0xf8c6_622f_b68d_5b59);
+    assert_eq!(service.state_digest(), 0x6da2_5143_1196_e7d2);
 }

@@ -10,8 +10,8 @@
 //!   victim;
 //! * **shard isolation** — every live id lives in exactly the shard its
 //!   hash maps to, so eviction in one shard cannot corrupt another;
-//! * **TTL expiry** — an id left idle (in per-shard request ticks) for
-//!   longer than the TTL is gone once its shard sees traffic again;
+//! * **LRU reclaim** — an id touched once and never again is evicted once
+//!   its shard fills with more recently touched ids;
 //! * **replay determinism** — the same op sequence on a fresh store yields
 //!   bit-identical shard contents (the property the gateway's determinism
 //!   contract leans on).
@@ -22,7 +22,6 @@ use vtm_serve::{SessionStore, StoreConfig};
 
 const SHARDS: usize = 4;
 const CAPACITY: usize = 6;
-const TTL: u64 = 12;
 const HISTORY: usize = 3;
 const ID_SPACE: u64 = 64;
 const COLD_ID: u64 = 1000;
@@ -32,8 +31,7 @@ fn bounded_store() -> SessionStore {
         HISTORY,
         StoreConfig::default()
             .with_shards(SHARDS)
-            .with_capacity_per_shard(CAPACITY)
-            .with_ttl_quotes(TTL),
+            .with_capacity_per_shard(CAPACITY),
     )
 }
 
@@ -50,8 +48,8 @@ fn property_loop_capacity_ttl_and_shard_isolation() {
         let twin = bounded_store(); // replays the identical sequence
         let mut rng = StdRng::seed_from_u64(seed);
 
-        // A session touched exactly once and never again: TTL (or capacity
-        // pressure) must reclaim it by the end of the run.
+        // A session touched exactly once and never again: capacity
+        // pressure must reclaim it by the end of the run.
         store.touch_grouped(&[COLD_ID], |_, _| {});
         twin.touch_grouped(&[COLD_ID], |_, _| {});
 
@@ -60,7 +58,6 @@ fn property_loop_capacity_ttl_and_shard_isolation() {
             for s in [&store, &twin] {
                 s.touch_grouped(&ids, |_, session| {
                     session.push(vec![step as f64; 1], HISTORY);
-                    session.quotes += 1;
                 });
             }
 
@@ -108,18 +105,17 @@ fn property_loop_capacity_ttl_and_shard_isolation() {
         let stats = store.stats();
         assert!(stats.sessions <= SHARDS * CAPACITY);
         assert!(stats.evicted > 0, "seed {seed}: capacity never kicked in");
-        assert!(stats.expired > 0, "seed {seed}: TTL never kicked in");
         assert!(
             !store.contains(COLD_ID),
-            "seed {seed}: idle session survived {TTL}-tick TTL under traffic"
+            "seed {seed}: the cold session survived its shard's LRU eviction"
         );
     }
 }
 
 #[test]
 fn unbounded_config_is_the_identity_policy() {
-    // The pre-gateway default: no capacity, no TTL — nothing is ever
-    // reclaimed behind the caller's back.
+    // The pre-gateway default: no capacity — nothing is ever reclaimed
+    // behind the caller's back.
     let store = SessionStore::new(HISTORY, StoreConfig::default().with_shards(SHARDS));
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..100 {
@@ -128,7 +124,6 @@ fn unbounded_config_is_the_identity_policy() {
     }
     let stats = store.stats();
     assert_eq!(stats.evicted, 0);
-    assert_eq!(stats.expired, 0);
     assert_eq!(stats.sessions as u64, {
         let mut distinct: Vec<u64> = (0..ID_SPACE).filter(|&id| store.contains(id)).collect();
         distinct.dedup();
