@@ -587,14 +587,14 @@ fn main_chaos(args: &[String]) {
         Ok(results) => {
             let mut failed = false;
             for r in &results {
-                let replay = match r.replay_equivalent {
-                    Some(true) => ", replay OK",
-                    Some(false) => ", replay DIVERGED",
-                    None => "",
+                let replay = if r.replay_equivalent {
+                    "replay OK"
+                } else {
+                    "replay DIVERGED"
                 };
                 println!(
                     "chaos `{}`: {} admitted / {} quoted / {} errored / {} rejected — \
-                     panics {}, expired {}, journal retries {}, bypassed {}{replay}",
+                     panics {}, expired {}, journal retries {}, {replay}",
                     r.plan,
                     r.admitted,
                     r.quoted,
@@ -603,7 +603,6 @@ fn main_chaos(args: &[String]) {
                     r.stats.panics,
                     r.stats.expired,
                     r.stats.journal_retries,
-                    r.stats.journal_bypassed,
                 );
                 for violation in &r.violations {
                     failed = true;

@@ -1,14 +1,16 @@
 //! The chaos-injection harness behind `experiments chaos`.
 //!
 //! Each named plan arms a deterministic [`FaultPlan`] (fixed seed, fixed
-//! fault indices derived from the request count), drives a single-executor
-//! gateway through the preset's request stream and checks two properties:
+//! fault indices derived from the request count), drives a journaling
+//! gateway through the preset's request stream and checks two properties
+//! besides the plan's exact fault counters:
 //!
 //! 1. **Liveness** — every obtained ticket resolves within a bounded wait;
 //!    no `QuoteTicket::wait` hangs under any injected fault.
-//! 2. **Replay equivalence** — for journaled plans, replaying the surviving
-//!    journal into a freshly built service reconstructs exactly the state a
-//!    reference service reaches when fed the scanned frames directly.
+//! 2. **Replay equivalence** — replaying the plan's journal into a freshly
+//!    built service reconstructs exactly the live service's state: a
+//!    request that expired or whose pricing panicked still advanced its
+//!    session, and a request whose append failed was never admitted.
 //!
 //! Violations are collected per plan (not panicked), so one run can report
 //! every broken invariant; the `experiments chaos` subcommand exits non-zero
@@ -19,10 +21,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vtm_core::registry::{EnvBuildOptions, EnvRegistry};
-use vtm_gateway::{FaultPlan, Gateway, GatewayConfig, JournalBypassPolicy, TelemetrySnapshot};
-use vtm_journal::{
-    find_snapshots, replay_journal, scan_journal, JournalOptions, ReplayOptions, ScanMode,
-};
+use vtm_gateway::{FaultPlan, Gateway, GatewayConfig, TelemetrySnapshot};
+use vtm_journal::{find_snapshots, replay_journal, JournalOptions, ReplayOptions, ScanMode};
 use vtm_serve::QuoteRequest;
 
 use crate::journal_cli::build_service;
@@ -32,7 +32,6 @@ use crate::results_dir;
 pub const PLANS: &[&str] = &[
     "executor-panic",
     "journal-io",
-    "journal-bypass",
     "deadline-storm",
     "slow-batch",
 ];
@@ -53,7 +52,7 @@ pub struct ChaosOptions {
     pub requests: usize,
     /// Distinct VMU sessions in the stream.
     pub sessions: usize,
-    /// Journal path stem for the journaled plans (`<stem>.<plan>` per plan).
+    /// Journal path stem (`<stem>.<plan>` per plan).
     pub journal: PathBuf,
     /// Liveness bound: a ticket that does not resolve within this wait is a
     /// violation.
@@ -90,9 +89,8 @@ pub struct ChaosPlanResult {
     pub rejected: u64,
     /// Final gateway telemetry.
     pub stats: TelemetrySnapshot,
-    /// `Some(true)` when the journal replay digest matched the reference;
-    /// `None` for journal-less plans.
-    pub replay_equivalent: Option<bool>,
+    /// Whether replaying the plan's journal reproduced the live state.
+    pub replay_equivalent: bool,
     /// Every broken invariant, human-readable. Empty means the plan passed.
     pub violations: Vec<String>,
 }
@@ -126,21 +124,19 @@ fn stream_requests(opts: &ChaosOptions) -> Result<Vec<QuoteRequest>, String> {
     Ok(out)
 }
 
-/// The gateway configuration for one plan. All plans run a single executor
-/// with single-request batches, so batch index N is exactly request N and
-/// the armed fault indices are deterministic.
-fn plan_config(plan: &str, total: u64, journal: Option<&PathBuf>) -> Result<GatewayConfig, String> {
-    let mut config = GatewayConfig::default()
-        .with_executors(1)
+/// The gateway configuration for one plan. Every plan journals to
+/// `journal` and runs single-request batches, submitted one at a time, so
+/// batch index N is exactly request N and the armed fault indices are
+/// deterministic.
+fn plan_config(plan: &str, total: u64, journal: &PathBuf) -> Result<GatewayConfig, String> {
+    let config = GatewayConfig::default()
         .with_max_batch(1)
-        .with_max_delay(Duration::from_micros(100));
-    if let Some(path) = journal {
-        config = config.with_journal(
-            JournalOptions::new(path)
+        .with_max_delay(Duration::from_micros(100))
+        .with_journal(
+            JournalOptions::new(journal)
                 .with_flush_every(4)
                 .with_snapshot_every(0),
         );
-    }
     Ok(match plan {
         "executor-panic" => config.with_faults(FaultPlan::new(11).with_executor_panic(total / 2)),
         // Two transient append errors, far enough apart that each heals with
@@ -152,14 +148,6 @@ fn plan_config(plan: &str, total: u64, journal: Option<&PathBuf>) -> Result<Gate
                 FaultPlan::new(12)
                     .with_journal_error(total / 3, std::io::ErrorKind::Interrupted)
                     .with_journal_error(2 * total / 3, std::io::ErrorKind::WouldBlock),
-            ),
-        // No retries: the single injected error drops exactly one frame from
-        // the journal while the quote still flows.
-        "journal-bypass" => config
-            .with_journal_retries(0)
-            .with_journal_policy(JournalBypassPolicy::DegradeWithoutJournal)
-            .with_faults(
-                FaultPlan::new(13).with_journal_error(total / 2, std::io::ErrorKind::StorageFull),
             ),
         "deadline-storm" => config.with_default_deadline(Duration::ZERO),
         "slow-batch" => config.with_faults(
@@ -185,21 +173,16 @@ fn cleanup_journal(path: &PathBuf) {
 fn run_plan(plan: &str, opts: &ChaosOptions) -> Result<ChaosPlanResult, String> {
     let requests = stream_requests(opts)?;
     let total = requests.len() as u64;
-    let journaled = matches!(plan, "journal-io" | "journal-bypass");
-    let journal_path = journaled.then(|| {
-        let mut name = opts
-            .journal
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "chaos.vtmj".to_string());
-        name.push('.');
-        name.push_str(plan);
-        opts.journal.with_file_name(name)
-    });
-    if let Some(path) = &journal_path {
-        cleanup_journal(path);
-    }
-    let config = plan_config(plan, total, journal_path.as_ref())?;
+    let mut name = opts
+        .journal
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "chaos.vtmj".to_string());
+    name.push('.');
+    name.push_str(plan);
+    let journal_path = opts.journal.with_file_name(name);
+    cleanup_journal(&journal_path);
+    let config = plan_config(plan, total, &journal_path)?;
     let service = Arc::new(build_service(
         &opts.env,
         opts.checkpoint.as_deref(),
@@ -258,30 +241,16 @@ fn run_plan(plan: &str, opts: &ChaosOptions) -> Result<ChaosPlanResult, String> 
             }
         }
         "journal-io" => {
-            if stats.journal_retries != 2 || stats.journal_bypassed != 0 {
+            if stats.journal_retries != 2 {
                 violations.push(format!(
-                    "journal: expected 2 healed retries and no bypass, got {} retries, {} bypassed",
-                    stats.journal_retries, stats.journal_bypassed
+                    "journal: expected 2 healed retries, got {}",
+                    stats.journal_retries
                 ));
             }
             if stats.journal_frames != total || stats.completed != total {
                 violations.push(format!(
                     "journal: retries must not lose frames ({} frames, {} completed of {total})",
                     stats.journal_frames, stats.completed
-                ));
-            }
-        }
-        "journal-bypass" => {
-            if stats.journal_bypassed != 1 || stats.journal_frames != total - 1 {
-                violations.push(format!(
-                    "journal: expected exactly one bypassed frame, got {} bypassed, {} frames",
-                    stats.journal_bypassed, stats.journal_frames
-                ));
-            }
-            if stats.completed != total {
-                violations.push(format!(
-                    "degradation: bypass must not lose the quote ({} completed of {total})",
-                    stats.completed
                 ));
             }
         }
@@ -309,48 +278,26 @@ fn run_plan(plan: &str, opts: &ChaosOptions) -> Result<ChaosPlanResult, String> 
         _ => {}
     }
 
-    // Post-recovery replay equivalence: what the journal recorded replays
-    // into exactly the state a reference service reaches on those frames.
-    let mut replay_equivalent = None;
-    if let Some(path) = &journal_path {
-        let scanned =
-            scan_journal(path, ScanMode::RecoverTail).map_err(|e| format!("scan failed: {e}"))?;
-        let reference = build_service(&opts.env, opts.checkpoint.as_deref(), opts.train_episodes)?;
-        for frame in &scanned.frames {
-            reference
-                .quote_batch(std::slice::from_ref(&frame.request))
-                .map_err(|e| format!("reference quote failed: {e}"))?;
-        }
-        let replayed = build_service(&opts.env, opts.checkpoint.as_deref(), opts.train_episodes)?;
-        let report = replay_journal(
-            &replayed,
-            path,
-            None,
-            &ReplayOptions {
-                mode: ScanMode::RecoverTail,
-                ..ReplayOptions::default()
-            },
-        )
-        .map_err(|e| format!("replay failed: {e}"))?;
-        let equivalent = report.state_digest == reference.state_digest();
-        if !equivalent {
-            violations.push(format!(
-                "replay: journal digest 0x{:016x} != reference digest 0x{:016x}",
-                report.state_digest,
-                reference.state_digest()
-            ));
-        }
-        // The bypassed frame is the one place live state may legitimately
-        // run ahead of the journal; everywhere else they must agree.
-        if plan == "journal-io" && report.state_digest != service.state_digest() {
-            violations.push(format!(
-                "replay: journal digest 0x{:016x} != live digest 0x{:016x}",
-                report.state_digest,
-                service.state_digest()
-            ));
-        }
-        replay_equivalent = Some(equivalent);
-        cleanup_journal(path);
+    // Replay equivalence: the journal alone reproduces the live state,
+    // whatever the plan injected.
+    let report = replay_journal(
+        &build_service(&opts.env, opts.checkpoint.as_deref(), opts.train_episodes)?,
+        &journal_path,
+        None,
+        &ReplayOptions {
+            mode: ScanMode::RecoverTail,
+            ..ReplayOptions::default()
+        },
+    )
+    .map_err(|e| format!("replay failed: {e}"))?;
+    cleanup_journal(&journal_path);
+    let replay_equivalent = report.state_digest == service.state_digest();
+    if !replay_equivalent {
+        violations.push(format!(
+            "replay: journal digest 0x{:016x} != live digest 0x{:016x}",
+            report.state_digest,
+            service.state_digest()
+        ));
     }
 
     Ok(ChaosPlanResult {
@@ -408,21 +355,7 @@ mod tests {
             results[0].violations
         );
         assert_eq!(results[0].stats.expired, 12);
-        assert_eq!(results[0].replay_equivalent, None);
-    }
-
-    #[test]
-    fn journal_bypass_plan_verifies_replay_equivalence() {
-        let mut o = opts("bypass");
-        o.plans = vec!["journal-bypass".to_string()];
-        let results = run_chaos(&o).unwrap();
-        assert!(
-            results[0].passed(),
-            "violations: {:?}",
-            results[0].violations
-        );
-        assert_eq!(results[0].replay_equivalent, Some(true));
-        assert_eq!(results[0].stats.journal_bypassed, 1);
+        assert!(results[0].replay_equivalent);
     }
 
     #[test]

@@ -161,8 +161,8 @@ pub(crate) fn build_service(
     .map_err(|e| format!("cannot build service: {e}"))
 }
 
-/// Records a journaling single-executor gateway run over the preset's
-/// deterministic request stream.
+/// Records a journaling gateway run over the preset's deterministic
+/// request stream.
 ///
 /// # Errors
 ///
@@ -191,13 +191,9 @@ pub fn run_journal_demo(opts: &JournalDemoOptions) -> Result<JournalDemoResult, 
             .map_err(|e| format!("cannot remove stale snapshot {}: {e}", path.display()))?;
     }
 
-    // Single executor: batches complete in admission order, which is what
-    // makes the periodic snapshots consistent and the replay digest equal to
-    // the live state.
     let gateway = Gateway::try_start(
         Arc::clone(&service),
         GatewayConfig::default()
-            .with_executors(1)
             .with_max_batch(opts.max_batch.max(1))
             .with_max_delay(Duration::from_micros(500))
             .with_journal(

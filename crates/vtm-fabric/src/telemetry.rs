@@ -80,7 +80,6 @@ impl ArmTelemetry {
             failed: self.failed.load(Ordering::Relaxed),
             promotions: self.promotions.load(Ordering::Relaxed),
             expired: 0,
-            journal_bypassed: 0,
             revenue: f64::from_bits(self.revenue_bits.load(Ordering::Relaxed)),
             latency: self.latency.snapshot(),
             stages: None,
@@ -89,16 +88,14 @@ impl ArmTelemetry {
 }
 
 /// Folds per-gateway fault counters and stage histograms into the arm
-/// snapshots they belong to. The fault counters (`expired`,
-/// `journal_bypassed`) live in the *gateway* telemetry — the arm axis
-/// would otherwise drop them at rollup. `gateways` is whatever
+/// snapshots they belong to. The `expired` fault counter lives in the
+/// *gateway* telemetry — the arm axis would otherwise drop it at rollup. `gateways` is whatever
 /// set the caller assembled: live slots for [`crate::Fabric::telemetry`],
 /// live plus retired generations at [`crate::Fabric::shutdown`].
 pub(crate) fn fold_gateway_rollups(arms: &mut [ArmSnapshot], gateways: &[ShardTelemetry]) {
     for arm in arms.iter_mut() {
         for gateway in gateways.iter().filter(|g| g.arm == arm.name) {
             arm.expired += gateway.telemetry.expired;
-            arm.journal_bypassed += gateway.telemetry.journal_bypassed;
             if let Some(stages) = &gateway.telemetry.stages {
                 arm.stages
                     .get_or_insert_with(StageSnapshot::default)
@@ -127,9 +124,6 @@ pub struct ArmSnapshot {
     /// gateways (live generations for a live snapshot; retired generations
     /// folded in at shutdown).
     pub expired: u64,
-    /// Admissions that bypassed the journal, summed over the arm's
-    /// gateways.
-    pub journal_bypassed: u64,
     /// Revenue proxy: the sum of quoted prices ([`vtm_serve::Quote::price`])
     /// over every resolved quote — the A/B comparison metric.
     pub revenue: f64,
@@ -147,7 +141,7 @@ impl ArmSnapshot {
     /// the `vtm_fabric_arm_*` namespace, labelled with the arm name.
     pub fn register_metrics(&self, registry: &mut MetricsRegistry) {
         let labels: [(&str, &str); 1] = [("arm", &self.name)];
-        let counters: [(&str, &str, u64); 6] = [
+        let counters: [(&str, &str, u64); 5] = [
             (
                 "vtm_fabric_arm_quotes_total",
                 "Quotes resolved for the arm.",
@@ -172,11 +166,6 @@ impl ArmSnapshot {
                 "vtm_fabric_arm_expired_total",
                 "Requests expired before batch formation.",
                 self.expired,
-            ),
-            (
-                "vtm_fabric_arm_journal_bypassed_total",
-                "Admissions without a journal frame.",
-                self.journal_bypassed,
             ),
         ];
         for (name, help, value) in counters {
@@ -315,7 +304,6 @@ mod tests {
         ];
         let mut shard_a = vtm_gateway::Telemetry::new().snapshot();
         shard_a.expired = 3;
-        shard_a.journal_bypassed = 7;
         let mut stages = StageSnapshot {
             traced: 5,
             ..StageSnapshot::default()
@@ -324,7 +312,6 @@ mod tests {
         shard_a.stages = Some(stages);
         let mut retired_a = vtm_gateway::Telemetry::new().snapshot();
         retired_a.expired = 2;
-        retired_a.journal_bypassed = 1;
         let mut shard_b = vtm_gateway::Telemetry::new().snapshot();
         shard_b.expired = 11;
         let gateways = vec![
@@ -349,7 +336,6 @@ mod tests {
         ];
         fold_gateway_rollups(&mut arms, &gateways);
         assert_eq!(arms[0].expired, 5);
-        assert_eq!(arms[0].journal_bypassed, 8);
         let stages = arms[0].stages.as_ref().expect("arm a was traced");
         assert_eq!(stages.traced, 5);
         assert_eq!(stages.queue_wait.count, 5);
@@ -369,7 +355,6 @@ mod tests {
             failed: 3,
             promotions: 4,
             expired: 5,
-            journal_bypassed: 6,
             stages: Some(StageSnapshot::default()),
             ..arm.snapshot("traced", 10)
         };
@@ -386,7 +371,7 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         snapshot.register_metrics(&mut registry);
         let text = registry.render_text();
-        let counters = "quotes rejected failed promotions expired journal_bypassed";
+        let counters = "quotes rejected failed promotions expired";
         for (value, counter) in (1..).zip(counters.split(' ')) {
             let line = format!("vtm_fabric_arm_{counter}_total{{arm=\"traced\"}} {value}\n");
             assert!(text.contains(&line), "{line}{text}");

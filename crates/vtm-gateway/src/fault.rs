@@ -28,8 +28,9 @@ pub struct FaultPlan {
     /// Seed identifying the plan (used by the derived-fault helpers, and
     /// recorded so chaos reports can name the exact plan they ran).
     pub seed: u64,
-    /// Batch indices whose executor panics *before* pricing the batch
-    /// (no service state is mutated by a panicked batch).
+    /// Batch indices whose executor panics while pricing the batch, after
+    /// the serial step advanced its sessions (the batch loses its quotes,
+    /// never its place in the session history).
     pub executor_panics: Vec<u64>,
     /// `(append_attempt, kind)` pairs: the given journal append attempt
     /// fails with an [`io::Error`] of that kind instead of writing a frame.

@@ -5,17 +5,23 @@
 //!  submit(&self, QuoteRequest)            (any number of caller threads)
 //!        │  feature check (typed reject, nothing enqueued)
 //!        │  admission control: in_flight < queue_capacity or Overloaded
-//!        │  journal append (bounded retry; FailStop or bypass policy)
+//!        │  journal append (bounded retry, then fail-stop) + enqueue, under
+//!        │  the journal lock: frame order is ingress order
 //!        ▼
 //!  IngressQueue (Mutex<VecDeque> + Condvar, bounded by admission)
 //!        │
 //!  executor pool (N threads), each taking its own batch under the ingress
 //!        │  lock: flush up to max_batch once max_batch are queued, max_delay
-//!        │  after the head request was submitted, or at close; expire stale
-//!        │  deadlines; number the batch in flush order
+//!        │  after the head request was submitted, or at close; number the
+//!        │  batch in flush order; take the apply lock before letting go
 //!        ▼
-//!  PricingService::quote_refs per batch, under catch_unwind — a panicked
-//!        │  batch fails only its own tickets and its executor moves on
+//!  serial step, under the apply lock: PricingService::advance_sessions
+//!        │  appends every taken request to its session in ingress order and
+//!        │  captures a due snapshot — session state ≡ the journal prefix
+//!        ▼
+//!  expire stale deadlines, then PricingService::price_rows under
+//!        │  catch_unwind, in parallel across executors — a panicked batch
+//!        │  fails only its own tickets and its executor moves on
 //!        ▼
 //!  QuoteTicket::wait() resolves; telemetry records latency + batch size
 //! ```
@@ -30,34 +36,17 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vtm_journal::{snapshot_path, JournalOptions, JournalWriter, StateSnapshot};
 use vtm_obs::{StageHistograms, TraceRecord, Tracer, TracerConfig};
-use vtm_serve::{PricingService, Quote, QuoteRequest, ServeError};
+use vtm_serve::{AdvancedRow, PricingService, Quote, QuoteRequest, ServeError};
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-
-/// What the gateway does when a journal append still fails after its
-/// bounded retries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JournalBypassPolicy {
-    /// Reject the request with [`GatewayError::Journal`] and release its
-    /// admission slot: the journal never under-records what the service
-    /// processed, at the cost of availability on a bad disk.
-    #[default]
-    FailStop,
-    /// Admit the request *without* a journal frame (counted in
-    /// `journal_bypassed` telemetry): quotes keep flowing on a bad disk,
-    /// at the cost of an audit gap — replay of the journal no longer
-    /// reproduces the live state, and periodic snapshots are disabled for
-    /// the rest of the run.
-    DegradeWithoutJournal,
-}
 
 /// Static configuration of a [`Gateway`].
 #[derive(Debug, Clone, PartialEq)]
@@ -78,25 +67,24 @@ pub struct GatewayConfig {
     pub executors: usize,
     /// Audit journaling: when set, every admitted request is appended to a
     /// fresh on-disk journal *before* it enters the batching pipeline, so
-    /// the journal's frame order is exactly the admission order. With a
-    /// single executor the journal (plus its periodic state snapshots)
-    /// deterministically replays to the service's byte-identical state —
-    /// see the `vtm-journal` crate.
+    /// the journal's frame order is exactly the admission order. Executors
+    /// apply requests to session state in that order, so at any executor
+    /// count the journal (plus its periodic state snapshots) replays to the
+    /// service's byte-identical state — see the `vtm-journal` crate.
     pub journal: Option<JournalOptions>,
     /// Per-request completion deadline stamped at admission (`None`, or a
-    /// deadline past the clock's range, = no deadline). Executors expire
-    /// queued requests whose deadline has passed when they flush a batch
-    /// ([`GatewayError::DeadlineExceeded`]), and [`QuoteTicket::wait`]
-    /// stops blocking at the deadline.
+    /// deadline past the clock's range, = no deadline). A request whose
+    /// deadline has passed when its batch is flushed still advances its
+    /// session, but is not priced ([`GatewayError::DeadlineExceeded`]), and
+    /// [`QuoteTicket::wait`] stops blocking at the deadline.
     pub default_deadline: Option<Duration>,
-    /// Bounded retries for a failed journal append before the
-    /// [`JournalBypassPolicy`] decides the request's fate.
+    /// Bounded retries for a failed journal append. Once they are
+    /// exhausted the request is rejected with [`GatewayError::Journal`]
+    /// and un-admitted (fail-stop).
     pub journal_retries: u32,
     /// Backoff slept before journal append retry `n` (`n * journal_backoff`,
     /// linear). Held under the journal lock so admission order is kept.
     pub journal_backoff: Duration,
-    /// What happens when journal retries are exhausted.
-    pub journal_policy: JournalBypassPolicy,
     /// Deterministic fault injection for the chaos harness (`None` in
     /// production; see [`FaultPlan`]).
     pub faults: Option<FaultPlan>,
@@ -116,8 +104,8 @@ pub struct GatewayConfig {
 
 impl Default for GatewayConfig {
     /// 32-request batches, a 1 ms flush deadline, 1024 in-flight requests,
-    /// one executor, no journaling, no deadlines, 2 journal retries with
-    /// fail-stop, no faults.
+    /// one executor, no journaling, no deadlines, 2 journal retries, no
+    /// faults.
     fn default() -> Self {
         Self {
             max_batch: 32,
@@ -128,7 +116,6 @@ impl Default for GatewayConfig {
             default_deadline: None,
             journal_retries: 2,
             journal_backoff: Duration::from_micros(500),
-            journal_policy: JournalBypassPolicy::FailStop,
             faults: None,
             shard: 0,
             tracing: None,
@@ -185,12 +172,6 @@ impl GatewayConfig {
         self
     }
 
-    /// Overrides the journal-bypass policy.
-    pub fn with_journal_policy(mut self, policy: JournalBypassPolicy) -> Self {
-        self.journal_policy = policy;
-        self
-    }
-
     /// Arms a deterministic fault-injection plan (chaos harness).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -221,12 +202,12 @@ pub enum GatewayError {
         queue_capacity: usize,
     },
     /// The request's deadline passed before it could be priced (expired
-    /// when its batch was flushed, or reported by a deadline-aware
-    /// [`QuoteTicket::wait`]).
+    /// when its batch was flushed — its session still advanced — or
+    /// reported by a deadline-aware [`QuoteTicket::wait`]).
     DeadlineExceeded,
     /// The executor pricing this request's batch panicked; only that
-    /// batch's requests fail with this error, and the executor goes on to
-    /// its next batch.
+    /// batch's requests fail with this error (their sessions advanced), and
+    /// the executor goes on to its next batch.
     ExecutorFailed,
     /// The request's feature block has the wrong width for the policy
     /// (checked at submission, before anything is enqueued).
@@ -250,14 +231,12 @@ pub enum GatewayError {
     /// (an internal geometry bug surfaced as a typed error, never a panic).
     Service(String),
     /// The admission journal could not be created or appended to (after
-    /// bounded retries, under [`JournalBypassPolicy::FailStop`]). A request
-    /// rejected with this error was **not** admitted (its in-flight slot is
-    /// released) — the journal never under-records admissions.
+    /// bounded retries). A request rejected with this error was **not**
+    /// admitted (its in-flight slot is released) — the journal never
+    /// under-records admissions.
     Journal(String),
     /// The request was still queued when shutdown drained the pipeline.
     ShuttingDown,
-    /// The gateway was shut down before the request could be accepted.
-    ShutDown,
 }
 
 impl fmt::Display for GatewayError {
@@ -285,7 +264,6 @@ impl fmt::Display for GatewayError {
             GatewayError::Service(msg) => write!(f, "service error: {msg}"),
             GatewayError::Journal(msg) => write!(f, "journal error: {msg}"),
             GatewayError::ShuttingDown => write!(f, "gateway is shutting down"),
-            GatewayError::ShutDown => write!(f, "gateway is shut down"),
         }
     }
 }
@@ -425,7 +403,8 @@ impl Pending {
 
     /// Rolls an admission back entirely: resolves the ticket with `err`
     /// and undoes the submit booking (the request never entered the
-    /// pipeline, so this is an abort, not a failure).
+    /// pipeline — its journal append failed — so this is an abort, not a
+    /// failure).
     fn abort(&self, err: GatewayError) {
         self.state.complete(Err(err));
         self.telemetry.record_abort();
@@ -458,17 +437,16 @@ struct IngressInner {
 }
 
 impl IngressQueue {
-    /// Enqueues an admitted request; hands it back when the queue is
-    /// closed so the caller can abort it properly.
-    fn push(&self, pending: Pending) -> Option<Pending> {
-        let mut inner = self.inner.lock().expect("ingress poisoned");
-        if inner.closed {
-            return Some(pending);
-        }
-        inner.queue.push_back(pending);
-        drop(inner);
+    /// Enqueues an admitted request. The queue closes only in shutdown,
+    /// which takes the gateway by `&mut` or by value, so no submission can
+    /// race it.
+    fn push(&self, pending: Pending) {
+        self.inner
+            .lock()
+            .expect("ingress poisoned")
+            .queue
+            .push_back(pending);
         self.not_empty.notify_one();
-        None
     }
 
     fn close(&self) {
@@ -484,10 +462,12 @@ impl IngressQueue {
 }
 
 /// One flushed micro-batch with its flush-order index (the unit fault
-/// injection reasons about).
+/// injection reasons about) and the instant it was taken, against which
+/// deadlines are checked.
 struct Batch {
     index: u64,
     items: Vec<Pending>,
+    taken: Instant,
 }
 
 /// State shared by the gateway handle and its executors. The admission
@@ -502,18 +482,13 @@ struct Shared {
     /// `append` *and* the ingress push, so on-disk frame order is exactly
     /// the order requests entered the pipeline.
     journal: Option<Mutex<JournalWriter>>,
-    /// Requests fully processed by executors — the journal position the
-    /// next periodic snapshot is tagged with (meaningful with one
-    /// executor, where processing order equals admission order).
-    frames_processed: AtomicU64,
+    /// The apply lock, around the serial step. An executor takes it before
+    /// it lets go of the ingress lock, so sessions advance in exactly the
+    /// order requests left ingress: the journal's frame order. It counts
+    /// the requests applied, the journal position of a snapshot.
+    applied: Mutex<u64>,
     /// Armed fault-injection plan (chaos harness), if any.
     faults: Option<FaultState>,
-    /// Set when live service state stopped matching the journal's frame
-    /// sequence (a batch panicked after its frames were journaled, a
-    /// deadline expired a journaled request, a journal append was
-    /// bypassed). Disables periodic snapshots, which would otherwise
-    /// claim frames the service never processed.
-    pipeline_diverged: AtomicBool,
     /// The stage tracer, when [`GatewayConfig::tracing`] is set.
     tracer: Option<Tracer>,
     /// Per-stage histograms fed from sampled traces at completion time.
@@ -524,11 +499,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Marks live state as no longer reproducible from the journal alone.
-    fn mark_diverged(&self) {
-        self.pipeline_diverged.store(true, Ordering::Release);
-    }
-
     /// A tracer-clock timestamp, or 0 when tracing is off. Only called on
     /// paths that already hold a sampled trace record, so the logical
     /// clock is not advanced by untraced requests.
@@ -540,13 +510,14 @@ impl Shared {
     /// are due — `max_batch` of them, `max_delay` after the head request
     /// was submitted, or ingress closed — then flushes up to `max_batch`.
     /// Requests stay queued until that flush, so two executors never split
-    /// one forming batch; deadline expiry and the flush-order index happen
-    /// under the same lock. `None` once ingress is closed and drained.
-    fn next_batch(&self) -> Option<Batch> {
+    /// one forming batch; the flush-order index is assigned under the same
+    /// lock, and the apply lock is taken before it is released. `None`
+    /// once ingress is closed and drained.
+    fn next_batch(&self) -> Option<(Batch, MutexGuard<'_, u64>)> {
         let max_batch = self.config.max_batch;
         let ingress = &self.ingress;
         let mut inner = ingress.inner.lock().expect("ingress poisoned");
-        let (index, mut items) = loop {
+        let taken = loop {
             let Some(head) = inner.queue.front().map(|p| p.submitted) else {
                 if inner.closed {
                     return None;
@@ -570,43 +541,58 @@ impl Shared {
                     }
                 }
             }
-            let take = inner.queue.len().min(max_batch);
-            let mut items = Vec::with_capacity(take);
-            for pending in inner.queue.drain(..take) {
-                // Work that can no longer meet its deadline is failed here
-                // instead of occupying an executor. It may already be
-                // journaled: live state no longer tracks the journal
-                // frame-for-frame.
-                if pending.deadline.is_some_and(|d| now >= d) {
-                    self.mark_diverged();
-                    if pending.state.complete(Err(GatewayError::DeadlineExceeded)) {
-                        pending.telemetry.record_expired();
-                    }
-                } else {
-                    items.push(pending);
-                }
-            }
-            if !items.is_empty() {
-                let index = inner.next_index;
-                inner.next_index += 1;
-                break (index, items);
-            }
+            break now;
         };
+        let take = inner.queue.len().min(max_batch);
+        let mut items: Vec<Pending> = inner.queue.drain(..take).collect();
+        let index = inner.next_index;
+        inner.next_index += 1;
+        let applied = self.applied.lock().expect("apply lock poisoned");
         drop(inner);
-        self.telemetry.record_batch(items.len());
         // One batch-formed stamp shared by every traced request in the
         // batch (they left the queue together); untraced batches never
         // touch the tracer clock.
         let mut formed_ts = 0u64;
-        for pending in items.iter_mut() {
-            if let Some(trace) = pending.trace.as_mut() {
-                if formed_ts == 0 {
-                    formed_ts = self.trace_now();
-                }
-                trace.batch_formed_us = formed_ts;
+        for trace in items.iter_mut().filter_map(|p| p.trace.as_mut()) {
+            if formed_ts == 0 {
+                formed_ts = self.trace_now();
             }
+            trace.batch_formed_us = formed_ts;
         }
-        Some(Batch { index, items })
+        let batch = Batch {
+            index,
+            items,
+            taken,
+        };
+        Some((batch, applied))
+    }
+
+    /// The periodic snapshot due once `applied` requests are applied, when
+    /// the last `batch` of them crossed a `snapshot_every` boundary.
+    /// Called under the apply lock, so the state it captures is exactly
+    /// the first `applied` journal frames.
+    fn due_snapshot(&self, applied: u64, batch: u64) -> Option<StateSnapshot> {
+        let every = self.config.journal.as_ref()?.snapshot_every;
+        (every > 0 && applied / every != (applied - batch) / every)
+            .then(|| StateSnapshot::capture(&self.service, applied))
+    }
+
+    /// Writes a captured snapshot next to the journal. The journal is
+    /// pushed to disk first: a snapshot must never claim more frames than
+    /// the journal can replay (its frames were appended before they were
+    /// enqueued, so they are all in the writer).
+    fn save_snapshot(&self, snapshot: &StateSnapshot) {
+        let (Some(options), Some(journal)) = (&self.config.journal, &self.journal) else {
+            return;
+        };
+        let synced = journal
+            .lock()
+            .map(|mut writer| writer.sync().is_ok())
+            .unwrap_or(false);
+        let path = snapshot_path(&options.path, snapshot.frames_applied);
+        if synced && snapshot.save_to(path).is_ok() {
+            self.telemetry.record_snapshot();
+        }
     }
 }
 
@@ -665,9 +651,8 @@ impl Gateway {
             telemetry: Arc::new(Telemetry::new()),
             ingress: IngressQueue::default(),
             journal,
-            frames_processed: AtomicU64::new(0),
+            applied: Mutex::new(0),
             faults,
-            pipeline_diverged: AtomicBool::new(false),
             tracer,
             stages: StageHistograms::new(),
             admit_seq: AtomicU64::new(0),
@@ -703,9 +688,9 @@ impl Gateway {
     /// [`GatewayError::BadFeatureBlock`] for a wrong feature width,
     /// [`GatewayError::NonFiniteFeature`] for a NaN or infinite feature,
     /// [`GatewayError::Overloaded`] when `queue_capacity` requests are
-    /// already in flight (backpressure — retry later),
-    /// [`GatewayError::Journal`] when journaling fails under the fail-stop
-    /// policy, and [`GatewayError::ShutDown`] after shutdown.
+    /// already in flight (backpressure — retry later), and
+    /// [`GatewayError::Journal`] when the journal append still fails after
+    /// its retries.
     pub fn submit(&self, request: QuoteRequest) -> Result<QuoteTicket, GatewayError> {
         // The service's own check, so a request the gateway admits is one
         // the service prices: no slot is taken and no frame is written for
@@ -770,8 +755,10 @@ impl Gateway {
         // Journal the admission and enqueue under ONE lock, so the on-disk
         // frame order is exactly the order requests enter the pipeline
         // (replay order == admission order). A failed append is retried
-        // with bounded backoff; exhaustion is decided by the bypass policy.
-        let rejected = match &self.shared.journal {
+        // with bounded backoff; when the retries run out the request is
+        // un-admitted, so the journal never under-records what the service
+        // applied.
+        let writer = match &self.shared.journal {
             Some(journal) => {
                 // The journal stage is stamped around the whole append
                 // critical section (lock wait + bounded retries included) —
@@ -790,48 +777,25 @@ impl Gateway {
                     outcome = self.journal_append(&mut writer, &pending.request);
                 }
                 match outcome {
-                    Ok(bytes) => {
-                        self.shared.telemetry.record_journal_append(bytes);
-                        if let Some(trace) = pending.trace.as_mut() {
-                            trace.journal_end_us = self.shared.trace_now();
-                            trace.enqueue_us = self.shared.trace_now();
-                        }
-                        self.shared.ingress.push(pending)
+                    Ok(bytes) => self.shared.telemetry.record_journal_append(bytes),
+                    Err(message) => {
+                        drop(writer);
+                        pending.abort(GatewayError::Journal(message.clone()));
+                        return Err(GatewayError::Journal(message));
                     }
-                    Err(message) => match self.shared.config.journal_policy {
-                        JournalBypassPolicy::FailStop => {
-                            drop(writer);
-                            // Un-admit: the journal never under-records
-                            // what the service processed.
-                            pending.abort(GatewayError::Journal(message.clone()));
-                            return Err(GatewayError::Journal(message));
-                        }
-                        JournalBypassPolicy::DegradeWithoutJournal => {
-                            self.shared.telemetry.record_journal_bypass();
-                            self.shared.mark_diverged();
-                            if let Some(trace) = pending.trace.as_mut() {
-                                // No frame was written: a zero journal_start
-                                // is the "not journaled" marker.
-                                trace.journal_start_us = 0;
-                                trace.journal_end_us = 0;
-                                trace.enqueue_us = self.shared.trace_now();
-                            }
-                            self.shared.ingress.push(pending)
-                        }
-                    },
                 }
-            }
-            None => {
                 if let Some(trace) = pending.trace.as_mut() {
-                    trace.enqueue_us = self.shared.trace_now();
+                    trace.journal_end_us = self.shared.trace_now();
                 }
-                self.shared.ingress.push(pending)
+                Some(writer)
             }
+            None => None,
         };
-        if let Some(pending) = rejected {
-            pending.abort(GatewayError::ShutDown);
-            return Err(GatewayError::ShutDown);
+        if let Some(trace) = pending.trace.as_mut() {
+            trace.enqueue_us = self.shared.trace_now();
         }
+        self.shared.ingress.push(pending);
+        drop(writer);
         Ok(QuoteTicket { state, deadline })
     }
 
@@ -947,18 +911,78 @@ impl Drop for Gateway {
     }
 }
 
-/// Executor thread: takes batches straight off ingress and prices them
-/// until ingress is closed and drained. It holds no state between
+/// Executor thread: takes batches straight off ingress, applies and prices
+/// them until ingress is closed and drained. It holds no state between
 /// batches, so a panicked batch does not end it.
 fn executor_loop(shared: &Shared) {
-    while let Some(batch) = shared.next_batch() {
-        run_batch(shared, batch);
+    while let Some((batch, applied)) = shared.next_batch() {
+        if let Some((batch, rows)) = apply_batch(shared, batch, applied) {
+            run_batch(shared, batch, &rows);
+        }
     }
 }
 
-/// Prices one batch and resolves its tickets. Pricing runs under
-/// `catch_unwind`: a panic fails only this batch's tickets.
-fn run_batch(shared: &Shared, mut batch: Batch) {
+/// The serial step, under the apply lock `applied`: advances every session
+/// of the batch in ingress order and captures a due snapshot, then lets
+/// the lock go. Requests whose deadline had passed when the batch was
+/// taken are expired here: they keep their place in the session history
+/// but are not priced. Returns what is left to price, with its rows.
+fn apply_batch(
+    shared: &Shared,
+    mut batch: Batch,
+    mut applied: MutexGuard<'_, u64>,
+) -> Option<(Batch, Vec<AdvancedRow>)> {
+    let refs: Vec<&QuoteRequest> = batch.items.iter().map(|p| &p.request).collect();
+    let advanced = catch_unwind(AssertUnwindSafe(|| shared.service.advance_sessions(&refs)));
+    let count = batch.items.len() as u64;
+    *applied += count;
+    let snapshot = shared.due_snapshot(*applied, count);
+    drop(applied);
+    if let Some(snapshot) = snapshot {
+        shared.save_snapshot(&snapshot);
+    }
+    let rows = match advanced {
+        Ok(Ok(rows)) => rows,
+        // Feature blocks were checked at submit time, so this is an
+        // internal error; fail the whole batch with it.
+        Ok(Err(err)) => {
+            fail_batch(&batch.items, GatewayError::Service(err.to_string()));
+            return None;
+        }
+        Err(_) => {
+            shared.telemetry.record_panic();
+            fail_batch(&batch.items, GatewayError::ExecutorFailed);
+            return None;
+        }
+    };
+    let taken = batch.taken;
+    let mut live_rows = Vec::with_capacity(rows.len());
+    let mut rows = rows.into_iter();
+    batch.items.retain(|pending| {
+        let row = rows.next().expect("one row per request");
+        let expired = pending.deadline.is_some_and(|d| taken >= d);
+        if !expired {
+            live_rows.push(row);
+        } else if pending.state.complete(Err(GatewayError::DeadlineExceeded)) {
+            pending.telemetry.record_expired();
+        }
+        !expired
+    });
+    (!batch.items.is_empty()).then_some((batch, live_rows))
+}
+
+/// Fails every ticket of a batch with `err`.
+fn fail_batch(items: &[Pending], err: GatewayError) {
+    for pending in items {
+        pending.fail(err.clone());
+    }
+}
+
+/// Prices one applied batch and resolves its tickets. Pricing runs under
+/// `catch_unwind`: a panic fails only this batch's tickets, whose sessions
+/// have already advanced.
+fn run_batch(shared: &Shared, mut batch: Batch, rows: &[AdvancedRow]) {
+    shared.telemetry.record_batch(batch.items.len());
     if let Some(faults) = &shared.faults {
         if let Some(delay) = faults.batch_delay(batch.index) {
             std::thread::sleep(delay);
@@ -984,8 +1008,7 @@ fn run_batch(shared: &Shared, mut batch: Batch) {
                 panic!("injected executor panic on batch {}", batch.index);
             }
         }
-        let refs: Vec<&QuoteRequest> = batch.items.iter().map(|p| &p.request).collect();
-        shared.service.quote_refs(&refs)
+        shared.service.price_rows(rows)
     }));
     match priced {
         Ok(Ok(quotes)) => {
@@ -1016,78 +1039,13 @@ fn run_batch(shared: &Shared, mut batch: Batch) {
                 pending.telemetry.record_completion(latency_us);
                 pending.state.complete(Ok(quote));
             }
-            maybe_snapshot(shared, processed as u64);
         }
-        Ok(Err(err)) => {
-            // Feature widths were validated at submit time, so this is an
-            // internal error; fail the whole batch with it. The requests
-            // may be journaled without having been priced.
-            shared.mark_diverged();
-            let message = err.to_string();
-            for pending in &batch.items {
-                pending.fail(GatewayError::Service(message.clone()));
-            }
-        }
+        Ok(Err(err)) => fail_batch(&batch.items, GatewayError::Service(err.to_string())),
         Err(_) => {
-            // The injected (or real) panic fired before pricing touched the
-            // shared service, or pricing itself blew up: either way only
-            // this batch is affected. Its requests may already be
-            // journaled, so live state diverges from the journal.
+            // The injected (or real) panic fired after the serial step:
+            // only this batch's quotes are lost, never its session history.
             shared.telemetry.record_panic();
-            shared.mark_diverged();
-            for pending in &batch.items {
-                pending.fail(GatewayError::ExecutorFailed);
-            }
-        }
-    }
-}
-
-/// Executor-side periodic snapshotting: after a batch completes, capture
-/// the service state whenever the processed-request count crosses a
-/// `snapshot_every` boundary, tagged with the exact journal position.
-///
-/// Only taken with a single executor — there, batches finish in admission
-/// order, so "requests processed" IS the journal prefix the state is
-/// consistent with. With more executors the mapping breaks (batches finish
-/// out of order) and snapshots are skipped; crash recovery then replays
-/// the whole journal from genesis. Snapshots are also disabled once live
-/// state diverged from the journal (panicked batches, expired deadlines,
-/// journal bypass) — a snapshot must never claim frames the service never
-/// processed.
-fn maybe_snapshot(shared: &Shared, processed: u64) {
-    let Some(options) = &shared.config.journal else {
-        return;
-    };
-    if options.snapshot_every == 0
-        || shared.config.executors != 1
-        || shared.pipeline_diverged.load(Ordering::Acquire)
-    {
-        return;
-    }
-    let total = shared
-        .frames_processed
-        .fetch_add(processed, Ordering::Relaxed)
-        + processed;
-    if total / options.snapshot_every == (total - processed) / options.snapshot_every {
-        return;
-    }
-    // Between the quote_refs above and here no other executor runs, so the
-    // service state is exactly "the first `total` admitted requests". Push
-    // the journal to disk first: a snapshot must never claim more frames
-    // than the journal can replay.
-    if let Some(journal) = &shared.journal {
-        if journal
-            .lock()
-            .map(|mut writer| writer.sync().is_ok())
-            .unwrap_or(false)
-        {
-            let snapshot = StateSnapshot::capture(&shared.service, total);
-            if snapshot
-                .save_to(snapshot_path(&options.path, total))
-                .is_ok()
-            {
-                shared.telemetry.record_snapshot();
-            }
+            fail_batch(&batch.items, GatewayError::ExecutorFailed);
         }
     }
 }
@@ -1105,8 +1063,7 @@ mod tests {
             .with_max_delay(Duration::from_micros(250))
             .with_default_deadline(Duration::from_millis(5))
             .with_journal_retries(3)
-            .with_journal_backoff(Duration::from_micros(50))
-            .with_journal_policy(JournalBypassPolicy::DegradeWithoutJournal);
+            .with_journal_backoff(Duration::from_micros(50));
         assert_eq!(config.max_batch, 1);
         assert_eq!(config.queue_capacity, 1);
         assert_eq!(config.executors, 1);
@@ -1114,14 +1071,6 @@ mod tests {
         assert_eq!(config.default_deadline, Some(Duration::from_millis(5)));
         assert_eq!(config.journal_retries, 3);
         assert_eq!(config.journal_backoff, Duration::from_micros(50));
-        assert_eq!(
-            config.journal_policy,
-            JournalBypassPolicy::DegradeWithoutJournal
-        );
-        assert_eq!(
-            GatewayConfig::default().journal_policy,
-            JournalBypassPolicy::FailStop
-        );
     }
 
     #[test]
@@ -1138,7 +1087,6 @@ mod tests {
             GatewayError::Service("boom".to_string()),
             GatewayError::Journal("disk".to_string()),
             GatewayError::ShuttingDown,
-            GatewayError::ShutDown,
         ] {
             assert!(!err.to_string().is_empty());
         }

@@ -13,9 +13,11 @@
 //!   oldest queued request was submitted, whichever comes first; under load
 //!   batches fill instantly (throughput), under trickle traffic the
 //!   deadline caps added latency;
-//! * **executor pool** — `N` executor threads price their batches against
-//!   one shared frozen `Arc<PricingService>` via the zero-copy batch-slice
-//!   entry point ([`quote_refs`](vtm_serve::PricingService::quote_refs));
+//! * **executor pool** — `N` executor threads share one frozen
+//!   `Arc<PricingService>`. Each applies its batch in one serial step
+//!   ([`advance_sessions`](vtm_serve::PricingService::advance_sessions),
+//!   under an apply lock, in ingress order) and then prices it in parallel
+//!   with the others ([`price_rows`](vtm_serve::PricingService::price_rows));
 //! * **admission control** — at most `queue_capacity` requests may be in
 //!   flight; submissions beyond that are rejected immediately with
 //!   [`GatewayError::Overloaded`] (backpressure) instead of growing queues
@@ -42,13 +44,15 @@
 //! only its own tickets ([`GatewayError::ExecutorFailed`]) and its executor
 //! goes on to the next batch. Requests can carry deadlines
 //! ([`GatewayConfig::with_default_deadline`]) — executors expire stale
-//! queued work when they flush a batch and [`QuoteTicket::wait`] stops
-//! blocking at the deadline. Journal appends get bounded
-//! retry-with-backoff and an explicit [`JournalBypassPolicy`], so a bad
-//! disk cannot freeze admission. All of it is testable deterministically:
-//! a seeded [`FaultPlan`] ([`GatewayConfig::with_faults`]) injects
-//! executor panics, journal i/o errors and artificial batch latency at
-//! exact, reproducible points.
+//! work when they flush a batch and [`QuoteTicket::wait`] stops blocking
+//! at the deadline. A request that expires, or whose pricing panics, has
+//! already advanced its session: it loses its quote, never its place in
+//! the session history. Journal appends get bounded retry-with-backoff;
+//! an append that still fails rejects the request, un-admitted
+//! (fail-stop). All of it is testable deterministically: a seeded
+//! [`FaultPlan`] ([`GatewayConfig::with_faults`]) injects executor panics,
+//! journal i/o errors and artificial batch latency at exact, reproducible
+//! points.
 //!
 //! The liveness invariant is structural: every admitted request resolves
 //! its ticket exactly once — on completion, failure, expiry or shutdown —
@@ -56,14 +60,17 @@
 //!
 //! # Determinism contract
 //!
-//! With a **single executor**, gateway output for a given request sequence
-//! is bit-identical to calling
+//! At any executor count, gateway output for a given request sequence is
+//! bit-identical to calling
 //! [`PricingService::quote_batch`](vtm_serve::PricingService::quote_batch)
-//! on the same sequence, *no matter how the executor happens to slice it
-//! into batches*: per-session history updates apply in submission order
-//! (single FIFO ingress), batch assembly never changes a forward pass's
-//! row values, and quotes depend only on the assembled observation.
-//! `tests/determinism.rs` pins this with FNV digests.
+//! on the same sequence, *no matter how the executors happen to slice it
+//! into batches*: sessions advance in one serial step, in admission order
+//! (single FIFO ingress, apply lock taken before the ingress lock is let
+//! go), pricing reads no session state, and quotes depend only on the
+//! assembled observation. The admission journal records that same order,
+//! so it and its snapshots replay to the live state exactly.
+//! `tests/determinism.rs` and `tests/journal_replay.rs` pin this with FNV
+//! digests at 1, 2 and 4 executors.
 //!
 //! # Example
 //!
@@ -101,7 +108,7 @@ mod gateway;
 mod telemetry;
 
 pub use fault::FaultPlan;
-pub use gateway::{Gateway, GatewayConfig, GatewayError, JournalBypassPolicy, QuoteTicket};
+pub use gateway::{Gateway, GatewayConfig, GatewayError, QuoteTicket};
 pub use telemetry::{Telemetry, TelemetrySnapshot, MAX_TRACKED_BATCH};
 // Tracing vocabulary, re-exported so gateway users configure tracing
 // without a direct vtm-obs dependency.

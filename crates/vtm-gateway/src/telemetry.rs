@@ -36,9 +36,6 @@ pub struct Telemetry {
     panics: AtomicU64,
     /// Journal append retries after a transient append failure.
     journal_retries: AtomicU64,
-    /// Admissions that proceeded without a journal frame under the
-    /// `DegradeWithoutJournal` bypass policy.
-    journal_bypassed: AtomicU64,
     /// Batches flushed by the executors.
     batches: AtomicU64,
     /// Admitted-but-not-yet-completed requests — both the queue-depth
@@ -73,7 +70,6 @@ impl Telemetry {
             expired: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             journal_retries: AtomicU64::new(0),
-            journal_bypassed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             journal_frames: AtomicU64::new(0),
@@ -103,8 +99,8 @@ impl Telemetry {
         self.submitted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Rolls back an admitted submission whose enqueue failed (the
-    /// shutdown race): releases the in-flight slot and the submit count.
+    /// Rolls back an admitted submission whose journal append failed:
+    /// releases the in-flight slot and the submit count.
     pub(crate) fn record_abort(&self) {
         self.submitted.fetch_sub(1, Ordering::Relaxed);
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -152,11 +148,6 @@ impl Telemetry {
         self.journal_retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one admission that bypassed the journal.
-    pub(crate) fn record_journal_bypass(&self) {
-        self.journal_bypassed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one admission appended to the journal (`bytes` framed).
     pub(crate) fn record_journal_append(&self, bytes: u64) {
         self.journal_frames.fetch_add(1, Ordering::Relaxed);
@@ -185,7 +176,6 @@ impl Telemetry {
             expired: self.expired.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
             journal_retries: self.journal_retries.load(Ordering::Relaxed),
-            journal_bypassed: self.journal_bypassed.load(Ordering::Relaxed),
             precision: "f64",
             shard: 0,
             batches,
@@ -226,8 +216,6 @@ pub struct TelemetrySnapshot {
     pub panics: u64,
     /// Journal append retries after transient failures.
     pub journal_retries: u64,
-    /// Admissions that proceeded without a journal frame (bypass policy).
-    pub journal_bypassed: u64,
     /// Forward-pass precision of the serving policy (`"f64"` or `"f32"`),
     /// copied from the service configuration so capacity reports name the
     /// numeric mode they were measured under (see `docs/NUMERICS.md`).
@@ -240,7 +228,7 @@ pub struct TelemetrySnapshot {
     /// Admitted-but-not-yet-completed requests at snapshot time.
     pub queue_depth: u64,
     /// Admissions appended to the audit journal (0 when journaling is
-    /// off; equals `submitted` minus shutdown-race aborts when on).
+    /// off; equals `submitted` when on).
     pub journal_frames: u64,
     /// Journal bytes written, container framing included.
     pub journal_bytes: u64,
@@ -273,7 +261,7 @@ impl TelemetrySnapshot {
     /// `stage` for the per-stage histograms). This is the snapshot's only
     /// exposition: Prometheus text and JSON both render from the registry.
     pub fn register_metrics(&self, registry: &mut MetricsRegistry, labels: &[(&str, &str)]) {
-        let counters: [(&str, &str, u64); 12] = [
+        let counters: [(&str, &str, u64); 11] = [
             (
                 "vtm_gateway_submitted_total",
                 "Requests admitted past admission control.",
@@ -308,11 +296,6 @@ impl TelemetrySnapshot {
                 "vtm_gateway_journal_retries_total",
                 "Journal append retries.",
                 self.journal_retries,
-            ),
-            (
-                "vtm_gateway_journal_bypassed_total",
-                "Admissions without a journal frame.",
-                self.journal_bypassed,
             ),
             (
                 "vtm_gateway_batches_total",
@@ -478,7 +461,6 @@ mod tests {
         t.record_reject();
         t.record_panic();
         t.record_journal_retry();
-        t.record_journal_bypass();
         assert!(t.try_admit(8));
         t.record_submit();
         t.record_expired();
@@ -492,8 +474,7 @@ mod tests {
             let family = families.and_then(|f| f.iter().find(named));
             family.and_then(|f| f.path("samples.0")).expect(name)
         };
-        let counters = "submitted rejected expired panics journal_retries journal_bypassed \
-                        batch_size";
+        let counters = "submitted rejected expired panics journal_retries batch_size";
         for name in counters.split_whitespace() {
             let value = sample(&format!("vtm_gateway_{name}_total")).get("value");
             let expected = if name == "submitted" { 2 } else { 1 };

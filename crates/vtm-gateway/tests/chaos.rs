@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vtm_gateway::{FaultPlan, Gateway, GatewayConfig, GatewayError, JournalBypassPolicy};
+use vtm_gateway::{FaultPlan, Gateway, GatewayConfig, GatewayError};
 use vtm_journal::{scan_journal, JournalOptions, ScanMode};
 use vtm_rl::env::ActionSpace;
 use vtm_rl::ppo::{PpoAgent, PpoConfig};
@@ -66,7 +66,7 @@ fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 /// The reference for digest comparisons: the same requests priced directly,
-/// one call per request (≡ a fault-free single-executor gateway).
+/// one call per request (≡ a fault-free gateway).
 fn reference_digest(snap: &PolicySnapshot, reqs: &[QuoteRequest]) -> u64 {
     let service = fresh_service(snap);
     for req in reqs {
@@ -86,7 +86,8 @@ fn serial_config() -> GatewayConfig {
 }
 
 /// Executor panic mid-run: only the panicked batch's ticket fails, and the
-/// same executor goes on to price every later request.
+/// same executor goes on to price every later request. The panic fires in
+/// pricing, after the serial step advanced the request's session.
 #[test]
 fn executor_panic_fails_only_its_batch_and_the_executor_moves_on() {
     let snap = policy(71);
@@ -119,15 +120,14 @@ fn executor_panic_fails_only_its_batch_and_the_executor_moves_on() {
         stats.queue_depth, 0,
         "every admission slot must be released"
     );
-    // The panicked request was never priced: the live state equals the
-    // reference with request 2 removed.
-    let mut survived = reqs.clone();
-    survived.remove(2);
-    assert_eq!(service.state_digest(), reference_digest(&snap, &survived));
+    // The panicked request lost its quote, not its place in the session
+    // history: the live state equals the reference over all six requests.
+    assert_eq!(service.state_digest(), reference_digest(&snap, &reqs));
 }
 
-/// A deadline storm: every queued request expires before batch formation;
-/// all tickets resolve with `DeadlineExceeded` and nothing is priced.
+/// A deadline storm: every queued request has expired when its batch is
+/// taken; all tickets resolve with `DeadlineExceeded` and nothing is
+/// priced, but every request advanced its session.
 #[test]
 fn deadline_storm_expires_every_request_with_exact_counters() {
     let service = fresh_service(&policy(72));
@@ -158,7 +158,11 @@ fn deadline_storm_expires_every_request_with_exact_counters() {
     assert_eq!(stats.completed, 0);
     assert_eq!(stats.failed, 0, "expiry is not a failure");
     assert_eq!(stats.queue_depth, 0);
-    assert_eq!(service.stats().quotes, 0, "expired work is never priced");
+    assert_eq!(
+        service.stats().quotes,
+        6,
+        "expired work is applied to session state"
+    );
 }
 
 /// Deadline-aware `wait`: the caller unblocks at the deadline even while
@@ -232,61 +236,12 @@ fn journal_failstop_rejects_the_request_and_keeps_replay_exact() {
     assert_eq!(stats.completed, 7);
     assert_eq!(stats.journal_frames, 7);
     assert_eq!(stats.journal_retries, 0);
-    assert_eq!(stats.journal_bypassed, 0);
     // The journal holds exactly the admitted requests, in admission order,
     // and replays to the live state.
     let scanned = scan_journal(&journal, ScanMode::Strict).unwrap();
     let frames: Vec<QuoteRequest> = scanned.frames.into_iter().map(|f| f.request).collect();
     assert_eq!(frames, admitted);
     assert_eq!(service.state_digest(), reference_digest(&snap, &frames));
-    cleanup(&journal);
-}
-
-/// Journal append failure under `DegradeWithoutJournal`: quotes keep
-/// flowing, the bypass is counted, and the (incomplete) journal still
-/// replays exactly the frames it recorded.
-#[test]
-fn journal_bypass_keeps_quotes_flowing_with_an_audited_gap() {
-    let snap = policy(75);
-    let journal = temp_journal("bypass");
-    cleanup(&journal);
-    let service = fresh_service(&snap);
-    let gateway = Gateway::try_start(
-        Arc::clone(&service),
-        serial_config()
-            .with_journal(JournalOptions::new(&journal))
-            .with_journal_retries(0)
-            .with_journal_policy(JournalBypassPolicy::DegradeWithoutJournal)
-            .with_faults(FaultPlan::new(3).with_journal_error(2, std::io::ErrorKind::WouldBlock)),
-    )
-    .unwrap();
-    let reqs = requests(8);
-    for req in &reqs {
-        gateway
-            .submit(req.clone())
-            .unwrap()
-            .wait_timeout(Duration::from_secs(30))
-            .expect("liveness under journal bypass")
-            .unwrap();
-    }
-    let stats = gateway.shutdown();
-    assert_eq!(stats.completed, 8, "bypass must not lose the request");
-    assert_eq!(stats.journal_bypassed, 1);
-    assert_eq!(stats.journal_frames, 7);
-    // Live state includes the bypassed request; the journal does not — the
-    // audit gap is real, but what the journal *does* record replays
-    // bit-for-bit.
-    let scanned = scan_journal(&journal, ScanMode::Strict).unwrap();
-    let frames: Vec<QuoteRequest> = scanned.frames.into_iter().map(|f| f.request).collect();
-    let mut journaled = reqs.clone();
-    journaled.remove(2);
-    assert_eq!(frames, journaled);
-    assert_eq!(service.state_digest(), reference_digest(&snap, &reqs));
-    assert_eq!(
-        reference_digest(&snap, &frames),
-        reference_digest(&snap, &journaled)
-    );
-    assert_ne!(service.state_digest(), reference_digest(&snap, &frames));
     cleanup(&journal);
 }
 
@@ -325,7 +280,6 @@ fn journal_retries_heal_transient_errors_without_losing_frames() {
     // Attempts 0,1 ok; attempt 2 (request 2) fails once, heals on attempt
     // 3; attempt 4 ok; attempt 5 (request 4) fails once, heals on 6.
     assert_eq!(stats.journal_retries, 2);
-    assert_eq!(stats.journal_bypassed, 0);
     assert_eq!(stats.journal_frames, 8);
     assert_eq!(stats.completed, 8);
     let scanned = scan_journal(&journal, ScanMode::Strict).unwrap();

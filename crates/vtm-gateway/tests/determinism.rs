@@ -1,12 +1,17 @@
-//! Gateway acceptance tests: the determinism contract (single-executor
-//! greedy gateway ≡ direct `PricingService::quote_batch`, pinned by FNV
-//! digests across batching configurations), micro-batch flush behaviour,
-//! admission control and concurrent-ingress completeness.
+//! Gateway acceptance tests: the determinism contract (greedy gateway ≡
+//! direct `PricingService::quote_batch`, pinned by FNV digests across
+//! batching configurations at 1, 2 and 4 executors), micro-batch flush
+//! behaviour, admission control, concurrent-ingress completeness and
+//! journal replay under concurrent ingress.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use vtm_gateway::{Gateway, GatewayConfig, GatewayError};
+use vtm_journal::{
+    find_latest_snapshot, find_snapshots, replay_journal, JournalOptions, ReplayOptions,
+    StateSnapshot,
+};
 use vtm_rl::env::ActionSpace;
 use vtm_rl::ppo::{PpoAgent, PpoConfig};
 use vtm_rl::snapshot::PolicySnapshot;
@@ -28,6 +33,13 @@ fn service(snapshot: &PolicySnapshot) -> Arc<PricingService> {
         PricingService::from_snapshot(snapshot, ServiceConfig::new(HISTORY, FEATURES)).unwrap(),
     )
 }
+
+/// Executor counts the determinism contract is checked at.
+const EXECUTORS: [usize; 3] = [1, 2, 4];
+
+/// `(max_batch, max_delay in µs)` configurations the gateway slices the
+/// stream with.
+const BATCHING: [(usize, u64); 4] = [(1, 0), (3, 200), (9, 1000), (64, 50)];
 
 /// A service config under capacity pressure, so the determinism contract
 /// is also exercised against eviction bookkeeping — state a quote-only
@@ -116,14 +128,14 @@ fn gateway_outcome(
     }
 }
 
-/// The acceptance criterion: with a single executor and greedy mode, a
-/// gateway replay of a request sequence is indistinguishable from direct
-/// `PricingService::quote_batch` calls — not just quote-for-quote, but in
-/// the *complete* service state: session histories, LRU bookkeeping and
-/// the eviction counter — regardless of how the executor slices the stream
-/// into micro-batches.
+/// The acceptance criterion: in greedy mode, a gateway replay of a request
+/// sequence is indistinguishable from direct `PricingService::quote_batch`
+/// calls — not just quote-for-quote, but in the *complete* service state:
+/// session histories, LRU bookkeeping and the eviction counter — at any
+/// executor count and however the executors slice the stream into
+/// micro-batches.
 #[test]
-fn single_executor_greedy_gateway_matches_quote_batch_digest() {
+fn greedy_gateway_matches_quote_batch_digest_at_any_executor_count() {
     // 13 sessions over 4 shards with capacity 3 forces evictions, so
     // batch-slicing invariance of that bookkeeping is exercised too (a quote-only comparison would miss divergence there).
     let stream = request_stream(6, 13);
@@ -146,26 +158,29 @@ fn single_executor_greedy_gateway_matches_quote_batch_digest() {
     );
 
     // Gateway under several batching configs: full outcomes must agree.
-    for (max_batch, delay_us) in [(1, 0), (3, 200), (9, 1000), (64, 50)] {
-        let config = GatewayConfig::default()
-            .with_executors(1)
-            .with_max_batch(max_batch)
-            .with_max_delay(Duration::from_micros(delay_us));
-        assert_eq!(
-            gateway_outcome(config, pressured_config(), &stream),
-            reference_outcome,
-            "gateway (max_batch {max_batch}, delay {delay_us}us) diverged from quote_batch"
-        );
+    for executors in EXECUTORS {
+        for (max_batch, delay_us) in BATCHING {
+            let config = GatewayConfig::default()
+                .with_executors(executors)
+                .with_max_batch(max_batch)
+                .with_max_delay(Duration::from_micros(delay_us));
+            assert_eq!(
+                gateway_outcome(config, pressured_config(), &stream),
+                reference_outcome,
+                "gateway ({executors} executors, max_batch {max_batch}, delay {delay_us}us) \
+                 diverged from quote_batch"
+            );
+        }
     }
 }
 
 /// The same determinism contract holds on the quantized f32 serving path:
-/// a single-executor greedy gateway over an f32 service is outcome-
-/// identical (quotes, counters, state digest) to direct f32 `quote_batch`
-/// calls, because the f32 kernels are batch-slicing invariant just like
-/// the f64 ones. Telemetry names the precision it measured.
+/// a greedy gateway over an f32 service is outcome-identical (quotes,
+/// counters, state digest) to direct f32 `quote_batch` calls at any
+/// executor count, because the f32 kernels are batch-slicing invariant just
+/// like the f64 ones. Telemetry names the precision it measured.
 #[test]
-fn single_executor_greedy_f32_gateway_matches_f32_quote_batch_digest() {
+fn greedy_f32_gateway_matches_f32_quote_batch_digest_at_any_executor_count() {
     use vtm_serve::Precision;
 
     let f32_config = || pressured_config().with_precision(Precision::F32);
@@ -183,16 +198,19 @@ fn single_executor_greedy_f32_gateway_matches_f32_quote_batch_digest() {
     };
     assert!(reference_outcome.service_stats.evicted > 0);
 
-    for (max_batch, delay_us) in [(1, 0), (9, 1000)] {
-        let config = GatewayConfig::default()
-            .with_executors(1)
-            .with_max_batch(max_batch)
-            .with_max_delay(Duration::from_micros(delay_us));
-        assert_eq!(
-            gateway_outcome(config, f32_config(), &stream),
-            reference_outcome,
-            "f32 gateway (max_batch {max_batch}) diverged from f32 quote_batch"
-        );
+    for executors in EXECUTORS {
+        for (max_batch, delay_us) in BATCHING {
+            let config = GatewayConfig::default()
+                .with_executors(executors)
+                .with_max_batch(max_batch)
+                .with_max_delay(Duration::from_micros(delay_us));
+            assert_eq!(
+                gateway_outcome(config, f32_config(), &stream),
+                reference_outcome,
+                "f32 gateway ({executors} executors, max_batch {max_batch}) diverged from \
+                 f32 quote_batch"
+            );
+        }
     }
 
     // The precision mode is plumbed through to gateway telemetry.
@@ -309,9 +327,10 @@ fn bad_feature_blocks_are_rejected_at_submit() {
     assert_eq!(stats.rejected, 0, "malformed requests are not backpressure");
 }
 
-/// Submissions after shutdown fail with the typed ShutDown error.
+/// A service outlives its gateway: after the first gateway is dropped, a
+/// fresh gateway on the same (still warm) service quotes.
 #[test]
-fn submit_after_shutdown_is_a_typed_error() {
+fn a_service_outlives_its_gateway() {
     let service = service(&snapshot(7));
     let gateway = Gateway::start(Arc::clone(&service), GatewayConfig::default());
     let request = request_stream(1, 1)[0][0].clone();
@@ -359,4 +378,71 @@ fn concurrent_ingress_threads_complete_everything() {
     assert_eq!(stats.queue_depth, 0);
     assert!(stats.batches > 0);
     assert!(stats.latency.p99_us() >= stats.latency.p50_us());
+}
+
+/// Many ingress threads, several executors, one journal: each thread
+/// submits all its requests before it waits on any, the threads share
+/// sessions and the store is under capacity pressure, so batches taken by
+/// different executors touch the same sessions at once. In each of 20 runs
+/// the journal replays to the live state, from genesis and from its latest
+/// snapshot plus the suffix.
+#[test]
+fn concurrent_ingress_threads_on_shared_sessions_replay_to_live_state() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 40;
+    let snap = snapshot(9);
+    let fresh = || PricingService::from_snapshot(&snap, pressured_config()).unwrap();
+    for run in 0..20 {
+        let journal = std::env::temp_dir().join(format!(
+            "vtm_gw_concurrent_replay_{run}_{}.vtmj",
+            std::process::id()
+        ));
+        let service = Arc::new(fresh());
+        let gateway = Gateway::try_start(
+            Arc::clone(&service),
+            GatewayConfig::default()
+                .with_max_batch(8)
+                .with_max_delay(Duration::from_micros(100))
+                .with_executors(4)
+                .with_queue_capacity(4096)
+                .with_journal(JournalOptions::new(&journal).with_snapshot_every(37)),
+        )
+        .unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let gateway = &gateway;
+                scope.spawn(move || {
+                    let tickets: Vec<_> = (0..PER_THREAD)
+                        .map(|i| {
+                            let session = ((t + 3 * i) % 13) as u64;
+                            let feature = ((t * PER_THREAD + i) % 17) as f64 / 17.0;
+                            let request = QuoteRequest::new(session, vec![feature, 0.5]);
+                            gateway.submit(request).unwrap()
+                        })
+                        .collect();
+                    for ticket in tickets {
+                        ticket.wait().unwrap();
+                    }
+                });
+            }
+        });
+        let stats = gateway.shutdown();
+        assert_eq!(stats.completed, (THREADS * PER_THREAD) as u64, "run {run}");
+        assert!(service.stats().evicted > 0, "run {run}");
+        let live = service.state_digest();
+        let report = replay_journal(&fresh(), &journal, None, &ReplayOptions::default()).unwrap();
+        assert_eq!(report.state_digest, live, "run {run}: replay from genesis");
+        let (_, latest) = find_latest_snapshot(&journal).expect("snapshots were taken");
+        let latest = StateSnapshot::load_from(&latest).unwrap();
+        let report =
+            replay_journal(&fresh(), &journal, Some(&latest), &ReplayOptions::default()).unwrap();
+        assert_eq!(
+            report.state_digest, live,
+            "run {run}: replay from a snapshot"
+        );
+        for (_, path) in find_snapshots(&journal) {
+            let _ = std::fs::remove_file(path);
+        }
+        let _ = std::fs::remove_file(&journal);
+    }
 }

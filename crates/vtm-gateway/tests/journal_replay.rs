@@ -1,8 +1,9 @@
-//! End-to-end journal/replay equivalence: a journaling gateway run must be
-//! reconstructible — byte-identical service state — from (a) the journal
-//! alone, (b) a mid-run snapshot alone, and (c) the latest snapshot plus
-//! the journal suffix; and all of them must equal a direct
-//! `PricingService::quote_batch` replay of the same admission sequence.
+//! End-to-end journal/replay equivalence: a journaling gateway run, at any
+//! executor count, must be reconstructible — byte-identical service state
+//! — from (a) the journal alone, (b) a mid-run snapshot alone, and (c) the
+//! latest snapshot plus the journal suffix; and all of them must equal a
+//! direct `PricingService::quote_batch` replay of the same admission
+//! sequence.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -63,15 +64,20 @@ fn cleanup(journal: &PathBuf) {
     let _ = std::fs::remove_file(journal);
 }
 
-/// Runs a single-executor journaling gateway over `reqs` (submitted from
-/// one thread, so admission order is the submission order) and returns the
-/// live service's final state digest.
-fn journaled_gateway_run(journal: &PathBuf, snap: &PolicySnapshot, reqs: &[QuoteRequest]) -> u64 {
+/// Runs a journaling gateway with `executors` executors over `reqs`
+/// (submitted from one thread, so admission order is the submission order)
+/// and returns the live service's final state digest.
+fn journaled_gateway_run(
+    journal: &PathBuf,
+    snap: &PolicySnapshot,
+    reqs: &[QuoteRequest],
+    executors: usize,
+) -> u64 {
     let service = Arc::new(fresh_service(snap));
     let gateway = Gateway::try_start(
         Arc::clone(&service),
         GatewayConfig::default()
-            .with_executors(1)
+            .with_executors(executors)
             .with_max_batch(8)
             .with_max_delay(Duration::from_micros(200))
             .with_journal(
@@ -94,17 +100,24 @@ fn journaled_gateway_run(journal: &PathBuf, snap: &PolicySnapshot, reqs: &[Quote
     assert!(stats.journal_bytes > 0);
     assert!(
         stats.snapshots >= 1,
-        "80 requests at snapshot_every=25 must produce periodic snapshots"
+        "{} requests at snapshot_every=25 must produce periodic snapshots ({executors} executors)",
+        reqs.len()
     );
     service.state_digest()
 }
 
 #[test]
 fn gateway_journal_replays_to_identical_state_from_every_starting_point() {
+    for executors in [1, 2, 4] {
+        assert_replays_from_every_starting_point(executors);
+    }
+}
+
+fn assert_replays_from_every_starting_point(executors: usize) {
     let snap = policy(61);
     let reqs = requests(80);
-    let journal = temp_journal("equivalence");
-    let live_digest = journaled_gateway_run(&journal, &snap, &reqs);
+    let journal = temp_journal(&format!("equivalence_{executors}"));
+    let live_digest = journaled_gateway_run(&journal, &snap, &reqs, executors);
 
     // The journal holds exactly the admission sequence.
     let scanned = scan_journal(&journal, ScanMode::Strict).unwrap();
@@ -159,16 +172,17 @@ fn gateway_journal_replays_to_identical_state_from_every_starting_point() {
     cleanup(&journal);
 }
 
-/// A second journaling run over the same stream produces a byte-identical
-/// journal — the audit trail itself is deterministic.
+/// A second journaling run over the same stream, at another executor
+/// count, produces a byte-identical journal and the same state — the audit
+/// trail itself is deterministic.
 #[test]
 fn journaling_is_deterministic_across_runs() {
     let snap = policy(62);
     let reqs = requests(40);
     let journal_a = temp_journal("deterministic_a");
     let journal_b = temp_journal("deterministic_b");
-    let digest_a = journaled_gateway_run(&journal_a, &snap, &reqs);
-    let digest_b = journaled_gateway_run(&journal_b, &snap, &reqs);
+    let digest_a = journaled_gateway_run(&journal_a, &snap, &reqs, 1);
+    let digest_b = journaled_gateway_run(&journal_b, &snap, &reqs, 4);
     assert_eq!(digest_a, digest_b);
     assert_eq!(
         std::fs::read(&journal_a).unwrap(),

@@ -54,7 +54,6 @@ fn golden_snapshot() -> TelemetrySnapshot {
     snap.expired = 3;
     snap.panics = 1;
     snap.journal_retries = 2;
-    snap.journal_bypassed = 3;
     snap.precision = "f64";
     snap.shard = 2;
     snap.batches = 40;

@@ -93,8 +93,8 @@ pub struct TraceRecord {
     pub seq: u64,
     /// Admission-control passed; lifecycle begins.
     pub admit_us: u64,
-    /// Journal append started (0 when the gateway runs without a journal
-    /// or the append was bypassed).
+    /// Journal append started (0 when the gateway runs without a
+    /// journal).
     pub journal_start_us: u64,
     /// Journal append finished (0 when not journaled).
     pub journal_end_us: u64,

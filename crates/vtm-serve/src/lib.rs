@@ -21,6 +21,12 @@
 //!   ([`vtm_nn::mlp::Mlp::forward_rows`]) instead of one row-vector pass per
 //!   request, which is where the serving throughput comes from (the
 //!   `serve-bench` experiment measures batched vs per-request quotes/s);
+//! * **ordered state, pure pricing** — a quote is two steps:
+//!   [`PricingService::advance_sessions`] appends each request's block to
+//!   its session in request order and returns the observation rows, and
+//!   [`PricingService::price_rows`] prices rows without touching state.
+//!   A caller with many threads runs the first under one lock and the
+//!   second in parallel;
 //! * **deterministic quotes** — every quote is the squashed Gaussian mean,
 //!   so identical request streams produce identical prices, however the
 //!   stream is sliced into batches.
@@ -54,8 +60,8 @@ mod session;
 mod store;
 
 pub use service::{
-    Precision, PricingService, Quote, QuoteRequest, ServeError, ServiceConfig, ServiceStats,
-    SharedPolicy,
+    AdvancedRow, Precision, PricingService, Quote, QuoteRequest, ServeError, ServiceConfig,
+    ServiceStats, SharedPolicy,
 };
 pub use session::Session;
 pub use store::{SessionStore, StoreConfig, StoreStats};

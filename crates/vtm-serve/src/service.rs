@@ -16,10 +16,6 @@ use vtm_rl::snapshot::{PolicySnapshot, SnapshotError};
 
 use crate::store::{SessionStore, StoreConfig};
 
-/// Per-request observation rows plus warm-up flags, produced by one locked
-/// pass over the session shards.
-type GatheredObservations = (Vec<Vec<f64>>, Vec<bool>);
-
 /// Typed failure modes of the serving layer.
 #[derive(Debug)]
 pub enum ServeError {
@@ -256,12 +252,25 @@ impl Quote {
     }
 }
 
+/// One request after [`PricingService::advance_sessions`] appended its
+/// feature block: the session's normalized observation row, ready for
+/// [`PricingService::price_rows`]. Only the serial step builds one.
+#[derive(Debug)]
+pub struct AdvancedRow {
+    session: u64,
+    observation: Vec<f64>,
+    warmed: bool,
+}
+
 /// Aggregate serving counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Live sessions across all shards.
     pub sessions: usize,
-    /// Total quotes served since construction.
+    /// Requests applied to session state since construction: each one
+    /// advanced its session's window, whether or not its quote was then
+    /// delivered (a gateway request that expires or whose pricing panics
+    /// still counts).
     pub quotes: u64,
     /// Sessions evicted because their shard hit capacity.
     pub evicted: u64,
@@ -283,7 +292,7 @@ impl ServiceStats {
         );
         registry.counter(
             "vtm_serve_quotes_total",
-            "Quotes served since construction.",
+            "Requests applied to session state since construction.",
             labels,
             self.quotes,
         );
@@ -376,8 +385,9 @@ pub struct PricingService {
     obs_normalizer: Option<RunningMeanStd>,
     config: ServiceConfig,
     store: SessionStore,
-    /// Total quotes served; atomic so the hot path never serializes on a
-    /// global lock (session state already contends per shard).
+    /// Requests applied to session state ([`ServiceStats::quotes`]);
+    /// atomic so the hot path never serializes on a global lock (session
+    /// state already contends per shard).
     quotes_served: AtomicU64,
     /// FNV-1a over the originating policy snapshot's canonical byte
     /// encoding — the policy *version* a journal snapshot records, so
@@ -577,46 +587,54 @@ impl PricingService {
         }
     }
 
-    /// Advances the session state for every request and returns each
-    /// request's full (normalized) observation row and warm-up flag,
-    /// locking every touched shard exactly once. Every request is checked
-    /// before any session moves, so a rejected batch changes no state.
-    fn gather_observations(
+    /// The serial step: checks every request, then appends each feature
+    /// block to its session in request order (locking every touched shard
+    /// once), counts the requests as applied and returns each request's
+    /// normalized observation row. A rejected batch changes no state.
+    /// Session state is a function of the order in which requests reach
+    /// this step, so a caller serving one stream from several threads runs
+    /// it under one lock and leaves [`PricingService::price_rows`] outside.
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`ServeError`] for malformed feature blocks
+    /// ([`PricingService::check_request`]).
+    pub fn advance_sessions(
         &self,
         requests: &[&QuoteRequest],
-    ) -> Result<GatheredObservations, ServeError> {
+    ) -> Result<Vec<AdvancedRow>, ServeError> {
         for req in requests {
             self.check_request(req)?;
         }
+        let history = self.config.history_length;
         let features = self.config.features_per_round;
-        let mut rows: Vec<Vec<f64>> = vec![Vec::new(); requests.len()];
-        let mut warmed = vec![false; requests.len()];
+        let mut rows: Vec<AdvancedRow> = requests
+            .iter()
+            .map(|req| AdvancedRow {
+                session: req.session,
+                observation: Vec::new(),
+                warmed: false,
+            })
+            .collect();
         let ids: Vec<u64> = requests.iter().map(|r| r.session).collect();
         // The store locks each touched shard exactly once; requests for the
         // same session are applied in request order.
         self.store.touch_grouped(&ids, |idx, session| {
-            let req = requests[idx];
-            session.push(req.features.clone(), self.config.history_length);
-            warmed[idx] = session.warmed(self.config.history_length);
-            rows[idx] = self.normalized(session.observation(self.config.history_length, features));
+            session.push(requests[idx].features.clone(), history);
+            let row = &mut rows[idx];
+            row.warmed = session.warmed(history);
+            row.observation = self.normalized(session.observation(history, features));
         });
-        Ok((rows, warmed))
-    }
-
-    /// The quote for one priced row: the squashed actor mean.
-    fn quote_from_mean(&self, session: u64, mean: &[f64], warmed: bool) -> Quote {
-        Quote {
-            session,
-            action: self.action_space.squash(mean),
-            warmed,
-        }
+        self.quotes_served
+            .fetch_add(requests.len() as u64, Ordering::Relaxed);
+        Ok(rows)
     }
 
     /// Evaluates one contiguous chunk of observation rows through the
     /// configured precision's forward path. Row-independent, so chunking
     /// (and therefore the inference-thread count) never changes results.
-    fn forward_chunk(&self, chunk: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, ShapeError> {
-        let refs: Vec<&[f64]> = chunk.iter().map(Vec::as_slice).collect();
+    fn forward_chunk(&self, chunk: &[AdvancedRow]) -> Result<Vec<Vec<f64>>, ShapeError> {
+        let refs: Vec<&[f64]> = chunk.iter().map(|row| row.observation.as_slice()).collect();
         match &self.inference {
             Some(model) => model.forward_rows(&refs),
             None => {
@@ -628,7 +646,7 @@ impl PricingService {
 
     /// Batched (and optionally multi-threaded) actor evaluation: one matrix
     /// forward pass per chunk instead of one row-vector pass per request.
-    fn forward_means(&self, rows: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, ServeError> {
+    fn forward_means(&self, rows: &[AdvancedRow]) -> Result<Vec<Vec<f64>>, ServeError> {
         let threads = match self.config.inference_threads {
             0 => std::thread::available_parallelism().map_or(1, usize::from),
             t => t,
@@ -656,6 +674,29 @@ impl PricingService {
         Ok(means)
     }
 
+    /// The pure step: prices rows the serial step built, with one batched
+    /// actor forward pass per inference-thread chunk and the action-space
+    /// squash. It reads no session state, so any number of threads may
+    /// price at once, and any subset of a step's rows prices to the same
+    /// quotes.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Forward`] if the forward pass rejects the rows (an
+    /// internal geometry bug).
+    pub fn price_rows(&self, rows: &[AdvancedRow]) -> Result<Vec<Quote>, ServeError> {
+        let means = self.forward_means(rows)?;
+        Ok(rows
+            .iter()
+            .zip(means)
+            .map(|(row, mean)| Quote {
+                session: row.session,
+                action: self.action_space.squash(&mean),
+                warmed: row.warmed,
+            })
+            .collect())
+    }
+
     /// Prices a whole round of requests with **one** batched actor forward
     /// pass per inference-thread chunk. Results are identical to calling
     /// [`PricingService::quote_one`] per request in order (each output row
@@ -675,9 +716,9 @@ impl PricingService {
 
     /// The batch-slice entry point: identical to
     /// [`PricingService::quote_batch`] but over *borrowed* requests, so a
-    /// caller that owns requests scattered across other structures (the
-    /// gateway's pending-completion records, for instance) can assemble a
-    /// batch without cloning a single feature block.
+    /// caller can assemble a batch without cloning a single feature block.
+    /// It is [`PricingService::advance_sessions`] followed by
+    /// [`PricingService::price_rows`].
     ///
     /// # Errors
     ///
@@ -688,15 +729,8 @@ impl PricingService {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let (rows, warmed) = self.gather_observations(requests)?;
-        let means = self.forward_means(&rows)?;
-        self.quotes_served
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        Ok(requests
-            .iter()
-            .enumerate()
-            .map(|(i, req)| self.quote_from_mean(req.session, &means[i], warmed[i]))
-            .collect())
+        let rows = self.advance_sessions(requests)?;
+        self.price_rows(&rows)
     }
 
     /// Prices a single request: a one-request batch through
@@ -1027,10 +1061,10 @@ mod tests {
 
     /// A restored payload is held to what admission holds a request to: a
     /// feature block of the wrong width or with a non-finite value, a
-    /// session under a shard its id does not hash to, and ids out of
-    /// ascending order (duplicates included) are refused with a typed
-    /// error, with or without an observation normalizer, and leave the
-    /// service exactly as it was.
+    /// session under a shard its id does not hash to, ids out of ascending
+    /// order (duplicates included) and a shard over the session capacity
+    /// are refused with a typed error, with or without an observation
+    /// normalizer, and leave the service exactly as it was.
     #[test]
     fn state_restore_refuses_what_admission_refuses() {
         let mut agent = PpoAgent::new(
@@ -1040,11 +1074,14 @@ mod tests {
         let plain = agent.snapshot();
         agent.set_obs_normalizer(Some(RunningMeanStd::new(8)));
         let normalized = agent.snapshot();
-        let config = ServiceConfig::new(4, 2).with_shards(2);
+        let config = ServiceConfig::new(4, 2)
+            .with_shards(2)
+            .with_session_capacity(2);
         let probe = PricingService::from_snapshot(&plain, config).unwrap();
         let shard_of = |id| probe.session_store().shard_of(id);
         let mut first_shard = (100..).filter(|&id| shard_of(id) == 0);
         let (a, b) = (first_shard.next().unwrap(), first_shard.next().unwrap());
+        let d = first_shard.next().unwrap();
         let c = (100..).find(|&id| shard_of(id) == 1).unwrap();
         let full = || vec![vec![0.5, 0.25]; 4];
         // Session `a` with its newest block replaced.
@@ -1061,6 +1098,10 @@ mod tests {
             ("wrong shard", state_payload(&[vec![], vec![(a, full())]])),
             ("duplicate id", first(vec![(a, full()), (a, full())])),
             ("descending ids", first(vec![(b, full()), (a, full())])),
+            (
+                "over capacity",
+                first(vec![(a, full()), (b, full()), (d, full())]),
+            ),
         ];
         let valid = state_payload(&[vec![(a, full()), (b, full())], vec![(c, full())]]);
         for snapshot in [&plain, &normalized] {

@@ -14,8 +14,8 @@
 //! shard always sees its requests in submission order no matter how the
 //! caller slices the stream into batches, every eviction decision that
 //! affects quote output is a pure function of the request sequence — which
-//! is what lets the gateway's determinism contract (single-executor
-//! gateway ≡ direct batch calls) extend to stores with eviction enabled.
+//! is what lets the gateway's determinism contract (gateway ≡ direct batch
+//! calls, at any executor count) extend to stores with eviction enabled.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -245,15 +245,17 @@ impl SessionStore {
     /// assignment is a pure function of the shard count, so restoring
     /// across a different sharding would scatter sessions to the wrong
     /// locks), every id must be listed, in strictly ascending order, under
-    /// the shard [`SessionStore::shard_of`] names, and every session must
+    /// the shard [`SessionStore::shard_of`] names, no shard may list more
+    /// sessions than `capacity_per_shard` (eviction only keeps a full
+    /// shard full, so it would never shrink back), and every session must
     /// pass [`Session::load_payload`]'s checks — the same width and
     /// finiteness admission holds a request to.
     ///
     /// # Errors
     ///
     /// Returns a typed [`CodecError`] for truncated or structurally invalid
-    /// payloads and for a shard-count mismatch — never panics. On error the
-    /// store is left unchanged.
+    /// payloads, for a shard-count mismatch and for a shard over capacity —
+    /// never panics. On error the store is left unchanged.
     pub fn restore_payload(
         &self,
         r: &mut PayloadReader<'_>,
@@ -274,8 +276,15 @@ impl SessionStore {
                 sessions: HashMap::new(),
                 tick: r.read_u64()?,
             };
+            let count = r.read_usize()?;
+            let capacity = self.config.capacity_per_shard;
+            if capacity > 0 && count > capacity {
+                return Err(CodecError::Invalid(format!(
+                    "shard {index} lists {count} sessions, capacity is {capacity}"
+                )));
+            }
             let mut previous = None;
-            for _ in 0..r.read_usize()? {
+            for _ in 0..count {
                 let id = r.read_u64()?;
                 if previous.is_some_and(|previous| previous >= id) {
                     return Err(CodecError::Invalid(format!(
@@ -378,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn ttl_and_eviction_behaviour_are_invariant_to_batch_slicing() {
+    fn eviction_behaviour_is_invariant_to_batch_slicing() {
         // The same request sequence, submitted one-by-one vs as one big
         // batch, must leave every session with the same feature window
         // (the determinism contract the gateway leans on, with capacity

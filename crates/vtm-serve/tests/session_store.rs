@@ -42,7 +42,7 @@ fn random_batch(rng: &mut StdRng) -> Vec<u64> {
 }
 
 #[test]
-fn property_loop_capacity_ttl_and_shard_isolation() {
+fn property_loop_capacity_and_shard_isolation() {
     for seed in 0..4u64 {
         let store = bounded_store();
         let twin = bounded_store(); // replays the identical sequence

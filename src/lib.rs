@@ -65,8 +65,7 @@ pub mod prelude {
     pub use vtm_fabric::{ArmSpec, Fabric, FabricConfig, FabricError, FabricSnapshot};
     pub use vtm_game::prelude::*;
     pub use vtm_gateway::{
-        FaultPlan, Gateway, GatewayConfig, GatewayError, JournalBypassPolicy, QuoteTicket,
-        TelemetrySnapshot,
+        FaultPlan, Gateway, GatewayConfig, GatewayError, QuoteTicket, TelemetrySnapshot,
     };
     pub use vtm_journal::{
         replay_journal, JournalError, JournalWriter, ReplayOptions, ReplayReport, ScanMode,
