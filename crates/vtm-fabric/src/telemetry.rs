@@ -120,7 +120,8 @@ pub struct ArmSnapshot {
     pub failed: u64,
     /// Completed hot-swap promotions of this arm.
     pub promotions: u64,
-    /// Requests expired before batch formation, summed over the arm's
+    /// Requests whose deadline had passed when their batch was taken (each
+    /// advanced its session but was not priced), summed over the arm's
     /// gateways (live generations for a live snapshot; retired generations
     /// folded in at shutdown).
     pub expired: u64,
@@ -164,7 +165,7 @@ impl ArmSnapshot {
             ),
             (
                 "vtm_fabric_arm_expired_total",
-                "Requests expired before batch formation.",
+                "Requests past their deadline when their batch was taken: applied, not priced.",
                 self.expired,
             ),
         ];

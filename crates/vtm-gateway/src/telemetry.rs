@@ -29,8 +29,9 @@ pub struct Telemetry {
     rejected: AtomicU64,
     /// Requests failed by an executor-side service error.
     failed: AtomicU64,
-    /// Requests expired at batch formation because their deadline had
-    /// already passed.
+    /// Requests whose deadline had passed when their batch was taken. The
+    /// batch applied them, so each advanced its session, but none was
+    /// priced.
     expired: AtomicU64,
     /// Executor batch panics caught (each failed only its own batch).
     panics: AtomicU64,
@@ -131,8 +132,9 @@ impl Telemetry {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Records a queued request expired at batch formation (it held an
-    /// in-flight slot, which is released here).
+    /// Records a request whose deadline had passed when its batch was taken
+    /// (applied with the batch, never priced; it held an in-flight slot,
+    /// which is released here).
     pub(crate) fn record_expired(&self) {
         self.expired.fetch_add(1, Ordering::Relaxed);
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -209,8 +211,9 @@ pub struct TelemetrySnapshot {
     pub rejected: u64,
     /// Requests failed by a service error.
     pub failed: u64,
-    /// Requests expired at batch formation because their deadline had
-    /// passed.
+    /// Requests whose deadline had passed when their batch was taken. The
+    /// batch applied them, so each advanced its session, but none was
+    /// priced.
     pub expired: u64,
     /// Executor batch panics caught and contained.
     pub panics: u64,
@@ -284,7 +287,7 @@ impl TelemetrySnapshot {
             ),
             (
                 "vtm_gateway_expired_total",
-                "Requests expired before batch formation.",
+                "Requests past their deadline when their batch was taken: applied, not priced.",
                 self.expired,
             ),
             (

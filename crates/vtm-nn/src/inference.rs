@@ -183,8 +183,8 @@ impl InferenceLayer {
 ///
 /// let obs = vec![0.25; 8];
 /// let reference = net.forward_vec(&obs)?;
-/// let quantized = fast.forward_vec(&obs)?;
-/// assert!((reference[0] - quantized[0]).abs() < 1e-4);
+/// let quantized = fast.forward_rows(&[&obs])?;
+/// assert!((reference[0] - quantized[0][0]).abs() < 1e-4);
 /// # Ok(())
 /// # }
 /// ```
@@ -271,16 +271,6 @@ impl InferenceModel {
             .collect())
     }
 
-    /// Single-row forward pass (see [`forward_rows`](Self::forward_rows)).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] when `input.len() != input_dim`.
-    pub fn forward_vec(&self, input: &[f64]) -> Result<Vec<f64>, ShapeError> {
-        let mut out = self.forward_rows(&[input])?;
-        Ok(out.pop().unwrap_or_default())
-    }
-
     /// Single-row forward pass returning every layer's activated output
     /// (widened to f64), input side first. Used by the per-layer
     /// error-bound tests that compare each stage against the f64 reference
@@ -362,8 +352,8 @@ mod tests {
             let fast = InferenceModel::from_mlp(&net);
             for row in rows(16) {
                 let reference = net.forward_vec(&row).unwrap();
-                let quantized = fast.forward_vec(&row).unwrap();
-                for (r, q) in reference.iter().zip(&quantized) {
+                let quantized = fast.forward_rows(&[&row]).unwrap();
+                for (r, q) in reference.iter().zip(&quantized[0]) {
                     assert!(
                         (r - q).abs() < 1e-3,
                         "{act}: f32 output {q} too far from f64 reference {r}"
@@ -384,7 +374,7 @@ mod tests {
         for (row, out) in batch.iter().zip(&batched) {
             assert_eq!(
                 out,
-                &fast.forward_vec(row).unwrap(),
+                &fast.forward_rows(&[row]).unwrap()[0],
                 "batch membership changed f32 output bits"
             );
         }
@@ -397,13 +387,15 @@ mod tests {
         let row = &rows(1)[0];
         let layers = fast.forward_layers(row).unwrap();
         assert_eq!(layers.len(), net.layers().len());
-        assert_eq!(layers.last().unwrap(), &fast.forward_vec(row).unwrap());
+        assert_eq!(
+            layers.last().unwrap(),
+            &fast.forward_rows(&[row]).unwrap()[0]
+        );
     }
 
     #[test]
     fn shape_errors_are_typed_not_panics() {
         let fast = InferenceModel::from_mlp(&paper_net(5, Activation::Tanh));
-        assert!(fast.forward_vec(&[0.0; 3]).is_err());
         let short = vec![0.0; 3];
         assert!(fast.forward_rows(&[&short]).is_err());
         let bad_batch = vec![0.0f32; 5];

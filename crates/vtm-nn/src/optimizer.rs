@@ -279,15 +279,42 @@ pub fn adam_step_slice(
         params.len() == grads.len() && params.len() == m.len() && params.len() == v.len(),
         "adam slice length mismatch"
     );
-    for i in 0..params.len() {
-        let g = grads[i];
-        let mi = beta1 * m[i] + (1.0 - beta1) * g;
-        let vi = beta2 * v[i] + (1.0 - beta2) * g * g;
-        m[i] = mi;
-        v[i] = vi;
-        let m_hat = mi / bias1;
+    // `1 − β₁ᵗ` rounds to exactly 1.0 from step 356 at β₁ = 0.9, and
+    // `x / 1.0` is `x` bit for bit for every `x` arithmetic produces, so the
+    // loop without that division gives the same bits. (`bias2` reaches 1.0
+    // only at step 37,412 for β₂ = 0.999; it keeps its division.)
+    if bias1 == 1.0 {
+        adam_loop(params, grads, m, v, lr, beta1, beta2, eps, bias2, |mi| mi);
+    } else {
+        adam_loop(params, grads, m, v, lr, beta1, beta2, eps, bias2, |mi| {
+            mi / bias1
+        });
+    }
+}
+
+/// The loop of [`adam_step_slice`], with `m_hat` the first moment's bias
+/// correction.
+#[allow(clippy::too_many_arguments)] // all scalars are Adam state
+fn adam_loop(
+    params: &mut [f64],
+    grads: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    lr: f64,
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
+    bias2: f64,
+    m_hat: impl Fn(f64) -> f64,
+) {
+    let moments = m.iter_mut().zip(v.iter_mut());
+    for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+        let mi = beta1 * *m + (1.0 - beta1) * g;
+        let vi = beta2 * *v + (1.0 - beta2) * g * g;
+        *m = mi;
+        *v = vi;
         let v_hat = vi / bias2;
-        params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        *p -= lr * m_hat(mi) / (v_hat.sqrt() + eps);
     }
 }
 

@@ -78,12 +78,14 @@ fn f32_inference_forward_rows_bits_are_pinned() {
     assert_eq!(digest(out.into_iter().flatten()), 0x3164_e212_37d8_08ab);
 }
 
-#[test]
-fn training_step_weights_are_pinned() {
+/// Trains the pinned network for `steps` steps of `forward_train_ws`,
+/// `backward_ws`, `clip_global_norm` and `Adam` on a smooth regression
+/// target of the first four features. Returns the network and each step's
+/// gradient norm before clipping.
+fn train(steps: usize) -> (Mlp, Vec<f64>) {
     let rows = input_rows();
     let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
     let x = Matrix::from_rows(&refs).unwrap();
-    // A smooth regression target of the first four features.
     let targets: Vec<f64> = rows
         .iter()
         .map(|r| 0.5 * r[0] - 0.25 * r[1] + 0.125 * r[2] * r[3])
@@ -94,14 +96,29 @@ fn training_step_weights_are_pinned() {
     let mut ws = TrainWorkspace::new();
     let mut grads = MlpGrads::empty();
     let mut norms = Vec::new();
-    for _ in 0..10 {
+    for _ in 0..steps {
         let grad_out = mse_grad(net.forward_train_ws(&x, &mut ws).unwrap(), &y).unwrap();
         net.backward_ws(&x, &mut ws, &grad_out, &mut grads).unwrap();
-        // A bound low enough that clipping scales every step's gradient.
+        // A bound low enough that clipping scales the gradient (every one of
+        // the first 10 steps, as `training_step_weights_are_pinned` checks).
         norms.push(grads.clip_global_norm(0.05));
         adam.step(&mut net, &grads);
     }
+    (net, norms)
+}
+
+#[test]
+fn training_step_weights_are_pinned() {
+    let (net, norms) = train(10);
     assert!(norms.iter().all(|&n| n > 0.05), "clipping never engaged");
     assert_eq!(digest(norms), 0x4c21_8836_0ea8_b1f9);
     assert_eq!(parameter_digest(&net), 0x3f96_2ac6_2952_bc21);
+}
+
+#[test]
+fn training_past_adam_bias_saturation_is_pinned() {
+    // From step 356, Adam's first-moment correction `1 - 0.9^t` is exactly
+    // 1.0; 400 steps take the update through that switch.
+    let (net, _) = train(400);
+    assert_eq!(parameter_digest(&net), 0xcb75_5f73_6ac0_3939);
 }
