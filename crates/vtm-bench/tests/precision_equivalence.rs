@@ -50,9 +50,7 @@ fn snapshot_for(registry: &EnvRegistry, name: &str, build: &EnvBuildOptions) -> 
 /// A service config under capacity pressure, so agreement is also
 /// exercised against eviction bookkeeping.
 fn pressured(history_length: usize, features: usize) -> ServiceConfig {
-    ServiceConfig::new(history_length, features)
-        .with_shards(4)
-        .with_session_capacity(3)
+    ServiceConfig::new(history_length, features).with_session_capacity(12)
 }
 
 /// The headline property: on every scenario preset, over a realistic
@@ -73,16 +71,22 @@ fn f32_decisions_agree_with_f64_on_all_scenario_presets_under_pressure() {
         let quantized =
             PricingService::from_snapshot(&snapshot, config.with_precision(Precision::F32))
                 .unwrap();
-        // 13 sessions over 4 shards with capacity 3 forces evictions.
+        // 13 sessions with capacity 12 force evictions.
         let stream = registry
             .request_stream(name, &build, 13, 8)
             .expect("preset generates streams");
         let mut max_err = 0.0f64;
-        for frames in &stream {
-            let requests: Vec<QuoteRequest> = frames
+        let mut warmed = 0;
+        for (round, frames) in stream.iter().enumerate() {
+            let mut requests: Vec<QuoteRequest> = frames
                 .iter()
                 .map(|f| QuoteRequest::new(f.session, f.features.clone()))
                 .collect();
+            // Odd rounds run backwards, so the store keeps most sessions
+            // warm: in one fixed order every request would evict.
+            if round % 2 == 1 {
+                requests.reverse();
+            }
             let wide = reference.quote_batch(&requests).unwrap();
             let narrow = quantized.quote_batch(&requests).unwrap();
             for (w, n) in wide.iter().zip(&narrow) {
@@ -98,6 +102,7 @@ fn f32_decisions_agree_with_f64_on_all_scenario_presets_under_pressure() {
                     "{name}: quote metadata diverged"
                 );
                 max_err = max_err.max((w.price() - n.price()).abs());
+                warmed += usize::from(w.warmed);
             }
         }
         assert!(
@@ -113,6 +118,7 @@ fn f32_decisions_agree_with_f64_on_all_scenario_presets_under_pressure() {
         // session state is precision-independent.
         let (wide_stats, narrow_stats) = (reference.stats(), quantized.stats());
         assert!(wide_stats.evicted > 0, "{name}: stream caused no evictions");
+        assert!(warmed > 0, "{name}: no quote came from a full window");
         assert_eq!(
             wide_stats, narrow_stats,
             "{name}: store bookkeeping diverged"

@@ -2,9 +2,9 @@
 //! a session id to a shard, shared by every layer that partitions
 //! per-session state.
 //!
-//! The serving layer's `SessionStore` shards its interior locks with this
-//! function, and the gateway fabric routes whole sessions to independent
-//! gateway shards with it. Keeping one public pure function (instead of
+//! The gateway fabric routes whole sessions to independent gateway shards
+//! with this function, and fabric replay and load generation partition
+//! request streams with it. Keeping one public pure function (instead of
 //! ad-hoc copies) pins the contract the fabric relies on: the assignment
 //! depends only on `(session, shard_count)`, so it is stable across
 //! restarts that preserve the shard count, and per-session state never

@@ -22,10 +22,10 @@
 //!   flight; submissions beyond that are rejected immediately with
 //!   [`GatewayError::Overloaded`] (backpressure) instead of growing queues
 //!   without bound;
-//! * **bounded sessions** — the underlying service's
-//!   [`SessionStore`](vtm_serve::SessionStore) bounds per-shard session
-//!   state with LRU eviction, so a million distinct VMU ids cannot
-//!   exhaust memory;
+//! * **bounded sessions** — the underlying service's one bounded LRU
+//!   [`SessionStore`](vtm_serve::SessionStore) evicts the
+//!   least-recently-touched session at capacity, so a million distinct VMU
+//!   ids cannot exhaust memory;
 //! * **telemetry** — atomic counters plus fixed-bucket log-scale
 //!   histograms yield p50/p95/p99 latency, queue depth, batch-size
 //!   distribution and reject counts as a [`TelemetrySnapshot`], with no

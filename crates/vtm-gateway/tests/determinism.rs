@@ -45,17 +45,18 @@ const BATCHING: [(usize, u64); 4] = [(1, 0), (3, 200), (9, 1000), (64, 50)];
 /// is also exercised against eviction bookkeeping — state a quote-only
 /// comparison would miss.
 fn pressured_config() -> ServiceConfig {
-    ServiceConfig::new(HISTORY, FEATURES)
-        .with_shards(4)
-        .with_session_capacity(3)
+    ServiceConfig::new(HISTORY, FEATURES).with_session_capacity(12)
 }
 
 /// The deterministic request stream both sides replay: `rounds` rounds of
-/// one request per session with round/session-dependent features.
+/// one request per session with round/session-dependent features. Odd
+/// rounds visit the sessions in reverse, so a store under capacity
+/// pressure keeps most sessions warm: in one fixed order, every request
+/// for more sessions than the capacity would evict.
 fn request_stream(rounds: usize, sessions: usize) -> Vec<Vec<QuoteRequest>> {
     (0..rounds)
         .map(|round| {
-            (0..sessions)
+            let mut requests: Vec<QuoteRequest> = (0..sessions)
                 .map(|s| {
                     QuoteRequest::new(
                         s as u64,
@@ -64,7 +65,11 @@ fn request_stream(rounds: usize, sessions: usize) -> Vec<Vec<QuoteRequest>> {
                             .collect(),
                     )
                 })
-                .collect()
+                .collect();
+            if round % 2 == 1 {
+                requests.reverse();
+            }
+            requests
         })
         .collect()
 }
@@ -136,7 +141,7 @@ fn gateway_outcome(
 /// micro-batches.
 #[test]
 fn greedy_gateway_matches_quote_batch_digest_at_any_executor_count() {
-    // 13 sessions over 4 shards with capacity 3 forces evictions, so
+    // 13 sessions with capacity 12 force evictions, so
     // batch-slicing invariance of that bookkeeping is exercised too (a quote-only comparison would miss divergence there).
     let stream = request_stream(6, 13);
 
@@ -156,6 +161,7 @@ fn greedy_gateway_matches_quote_batch_digest_at_any_executor_count() {
         reference_outcome.service_stats.evicted > 0,
         "stream must trigger evictions for the comparison to be meaningful"
     );
+    assert!(reference_quotes.iter().any(|q| q.warmed));
 
     // Gateway under several batching configs: full outcomes must agree.
     for executors in EXECUTORS {
@@ -197,6 +203,7 @@ fn greedy_f32_gateway_matches_f32_quote_batch_digest_at_any_executor_count() {
         state_digest: reference.state_digest(),
     };
     assert!(reference_outcome.service_stats.evicted > 0);
+    assert!(reference_quotes.iter().any(|q| q.warmed));
 
     for executors in EXECUTORS {
         for (max_batch, delay_us) in BATCHING {

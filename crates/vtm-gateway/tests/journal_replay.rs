@@ -33,9 +33,7 @@ fn policy(seed: u64) -> PolicySnapshot {
 /// Capacity pressure so replay must also reconstruct eviction
 /// bookkeeping, not just request histories.
 fn service_config() -> ServiceConfig {
-    ServiceConfig::new(HISTORY, FEATURES)
-        .with_shards(4)
-        .with_session_capacity(3)
+    ServiceConfig::new(HISTORY, FEATURES).with_session_capacity(12)
 }
 
 fn fresh_service(snap: &PolicySnapshot) -> PricingService {

@@ -43,8 +43,8 @@ pub enum JournalError {
         /// Fingerprint recorded in the snapshot.
         found: u64,
     },
-    /// The snapshot's service geometry (history length, feature width or
-    /// shard count) disagrees with the replaying service's configuration.
+    /// The snapshot's service geometry (history length or feature width)
+    /// disagrees with the replaying service's configuration.
     GeometryMismatch {
         /// Which dimension disagrees.
         what: &'static str,
@@ -156,7 +156,7 @@ mod tests {
                 found: 0xB,
             },
             JournalError::GeometryMismatch {
-                what: "shard count",
+                what: "history length",
                 snapshot: 4,
                 service: 16,
             },

@@ -148,9 +148,7 @@ mod tests {
     }
 
     fn config() -> ServiceConfig {
-        ServiceConfig::new(2, 2)
-            .with_shards(4)
-            .with_session_capacity(3)
+        ServiceConfig::new(2, 2).with_session_capacity(12)
     }
 
     fn request(i: u64) -> QuoteRequest {

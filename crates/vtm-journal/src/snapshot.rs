@@ -26,8 +26,6 @@ pub struct StateSnapshot {
     pub history_length: u64,
     /// The service's configured feature-block width per round.
     pub features_per_round: u64,
-    /// The service's configured session-shard count.
-    pub shards: u64,
     /// The canonical service-state payload from
     /// [`PricingService::save_state`].
     pub state: Vec<u8>,
@@ -44,7 +42,6 @@ impl StateSnapshot {
             frames_applied,
             history_length: config.history_length as u64,
             features_per_round: config.features_per_round as u64,
-            shards: config.shards as u64,
             state: service.save_state(),
         }
     }
@@ -78,7 +75,6 @@ impl StateSnapshot {
                 self.features_per_round,
                 config.features_per_round as u64,
             ),
-            ("shard count", self.shards, config.shards as u64),
         ];
         for (what, snapshot, service_value) in geometry {
             if snapshot != service_value {
@@ -107,7 +103,6 @@ impl StateSnapshot {
         w.write_u64(self.frames_applied);
         w.write_u64(self.history_length);
         w.write_u64(self.features_per_round);
-        w.write_u64(self.shards);
         w.write_bytes(&self.state);
         WeightCodec::encode(KIND_STATE_SNAPSHOT, w.as_bytes())
     }
@@ -127,7 +122,6 @@ impl StateSnapshot {
             let frames_applied = r.read_u64()?;
             let history_length = r.read_u64()?;
             let features_per_round = r.read_u64()?;
-            let shards = r.read_u64()?;
             let state = r.read_bytes()?.to_vec();
             if !r.is_exhausted() {
                 return Err(CodecError::Invalid(format!(
@@ -140,7 +134,6 @@ impl StateSnapshot {
                 frames_applied,
                 history_length,
                 features_per_round,
-                shards,
                 state,
             })
         };
@@ -237,7 +230,7 @@ mod tests {
     #[test]
     fn capture_restore_round_trips_through_bytes() {
         let snap = policy(4, 21);
-        let config = ServiceConfig::new(2, 2).with_shards(4);
+        let config = ServiceConfig::new(2, 2).with_session_capacity(3);
         let source = PricingService::from_snapshot(&snap, config).unwrap();
         serve_some(&source, 3);
 
@@ -287,36 +280,47 @@ mod tests {
     }
 
     /// A snapshot in the kind-4 layout (per-session quote counters and
-    /// last actions, a store expiry counter) fails on its container kind,
+    /// last actions, a store expiry counter) or the kind-5 layout (a shard
+    /// count in the header and the state) fails on its container kind,
     /// before any state byte is read.
     #[test]
     fn kind_4_snapshots_fail_with_a_typed_wrong_kind() {
         // 3 quotes served; 1 shard at tick 3 holding 1 session: id 7, last
         // touched at tick 2, its quote counter 3, 1 feature block and a
         // last action; then the eviction and expiry counters.
-        let mut state = PayloadWriter::new();
+        let mut kind_4 = PayloadWriter::new();
         for field in [3, 1, 3, 1, 7, 2, 3, 1] {
-            state.write_u64(field);
+            kind_4.write_u64(field);
         }
-        state.write_f64_vec(&[0.5, 0.25]);
-        state.write_u64(1); // last-action tag
-        state.write_f64_vec(&[12.5]);
-        state.write_u64(0);
-        state.write_u64(0);
-        let mut w = PayloadWriter::new();
-        // Fingerprint, frames applied, history length, features, shards.
-        for field in [0xfeed, 3, 2, 2, 1] {
-            w.write_u64(field);
+        kind_4.write_f64_vec(&[0.5, 0.25]);
+        kind_4.write_u64(1); // last-action tag
+        kind_4.write_f64_vec(&[12.5]);
+        kind_4.write_u64(0);
+        kind_4.write_u64(0);
+        // The same session without its quote counter and last action, and
+        // only the eviction counter.
+        let mut kind_5 = PayloadWriter::new();
+        for field in [3, 1, 3, 1, 7, 2, 1] {
+            kind_5.write_u64(field);
         }
-        w.write_bytes(state.as_bytes());
-        let old = WeightCodec::encode(4, w.as_bytes());
-        assert!(matches!(
-            StateSnapshot::from_bytes(&old),
-            Err(JournalError::Snapshot(CodecError::WrongKind {
-                expected: 5,
-                found: 4
-            }))
-        ));
+        kind_5.write_f64_vec(&[0.5, 0.25]);
+        kind_5.write_u64(0);
+        for (kind, state) in [(4, kind_4), (5, kind_5)] {
+            let mut w = PayloadWriter::new();
+            // Fingerprint, frames applied, history length, features, shards.
+            for field in [0xfeed, 3, 2, 2, 1] {
+                w.write_u64(field);
+            }
+            w.write_bytes(state.as_bytes());
+            let old = WeightCodec::encode(kind, w.as_bytes());
+            assert!(matches!(
+                StateSnapshot::from_bytes(&old),
+                Err(JournalError::Snapshot(CodecError::WrongKind {
+                    expected: 6,
+                    found
+                })) if found == kind
+            ));
+        }
     }
 
     #[test]
@@ -332,20 +336,20 @@ mod tests {
             captured.restore_into(&other_policy),
             Err(JournalError::PolicyMismatch { .. })
         ));
-        // Same policy, different shard count.
-        let other_shards =
-            PricingService::from_snapshot(&policy(4, 23), config.with_shards(4)).unwrap();
+        // Same policy, a different history length.
+        let other_geometry =
+            PricingService::from_snapshot(&policy(4, 23), ServiceConfig::new(4, 1)).unwrap();
         assert!(matches!(
-            captured.restore_into(&other_shards),
+            captured.restore_into(&other_geometry),
             Err(JournalError::GeometryMismatch {
-                what: "shard count",
+                what: "history length",
                 ..
             })
         ));
         // A failed restore leaves the target untouched.
-        let digest_before = other_shards.state_digest();
-        let _ = captured.restore_into(&other_shards);
-        assert_eq!(other_shards.state_digest(), digest_before);
+        let digest_before = other_geometry.state_digest();
+        let _ = captured.restore_into(&other_geometry);
+        assert_eq!(other_geometry.state_digest(), digest_before);
     }
 
     #[test]

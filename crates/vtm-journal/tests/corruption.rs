@@ -107,7 +107,7 @@ fn every_single_byte_flip_in_a_journal_is_detected_at_the_right_frame() {
 #[test]
 fn every_single_byte_flip_in_a_snapshot_is_detected() {
     let snap = policy(51);
-    let config = ServiceConfig::new(2, FEATURES).with_shards(2);
+    let config = ServiceConfig::new(2, FEATURES);
     let service = PricingService::from_snapshot(&snap, config).unwrap();
     for i in 0..10u64 {
         service
@@ -154,7 +154,7 @@ fn flips_in_restored_state_payloads_never_corrupt_the_service() {
     // payload (a hostile or buggy writer), restore must either reject the
     // payload or leave the service in a state it fully owns — never panic.
     let snap = policy(52);
-    let config = ServiceConfig::new(2, FEATURES).with_shards(2);
+    let config = ServiceConfig::new(2, FEATURES);
     let service = PricingService::from_snapshot(&snap, config).unwrap();
     for i in 0..8u64 {
         service

@@ -23,12 +23,10 @@ fn policy(seed: u64) -> PolicySnapshot {
     .snapshot()
 }
 
-/// Small shards with capacity pressure, so the digest also pins eviction
-/// bookkeeping — the state a naive recovery would lose.
+/// A small capacity, so the digest also pins eviction bookkeeping — the
+/// state a naive recovery would lose.
 fn config() -> ServiceConfig {
-    ServiceConfig::new(2, FEATURES)
-        .with_shards(2)
-        .with_session_capacity(2)
+    ServiceConfig::new(2, FEATURES).with_session_capacity(4)
 }
 
 fn request(i: u64) -> QuoteRequest {

@@ -64,10 +64,12 @@ pub const KIND_JOURNAL_FRAME: u16 = 3;
 
 /// Payload kind: a point-in-time service-state snapshot (session store +
 /// serving counters) taken at a journal frame boundary; written by
-/// `vtm-journal`'s `StateSnapshot`. Kind 4 held the earlier layout, with a
-/// quote counter and last action per session and an expiry counter per
-/// store; decoding such a file fails with [`CodecError::WrongKind`].
-pub const KIND_STATE_SNAPSHOT: u16 = 5;
+/// `vtm-journal`'s `StateSnapshot`. Kinds 4 and 5 held earlier layouts:
+/// kind 4 had a quote counter and last action per session and an expiry
+/// counter per store, and kind 5 a store of lock shards, with a shard count
+/// in the header and the state. Decoding such a file fails with
+/// [`CodecError::WrongKind`].
+pub const KIND_STATE_SNAPSHOT: u16 = 6;
 
 /// Size of the fixed container header (magic + version + kind + payload len).
 const HEADER_LEN: usize = 4 + 2 + 2 + 8;

@@ -10,12 +10,11 @@
 //!
 //! * **frozen policy** — only the snapshot's actor network (plus the optional
 //!   observation normalizer) is loaded; serving never mutates weights;
-//! * **sharded, bounded session state** — each VMU session keeps its own
-//!   rolling observation history behind one of `S` mutex shards
-//!   ([`SessionStore`]), so concurrent request handlers contend per shard
-//!   rather than on one global lock; per-shard capacity (LRU eviction)
-//!   keeps a fleet of distinct VMU ids from exhausting memory. A session's
-//!   state is its feature window, and pricing writes nothing back into it;
+//! * **one bounded LRU store** — each VMU session keeps its own rolling
+//!   observation history in the service's [`SessionStore`], whose capacity
+//!   (LRU eviction on a logical clock) keeps a fleet of distinct VMU ids
+//!   from exhausting memory. A session's state is its feature window, and
+//!   pricing writes nothing back into it;
 //! * **batched forward** — [`PricingService::quote_batch`] prices a whole
 //!   round of requests with *one* actor matrix forward pass
 //!   ([`vtm_nn::mlp::Mlp::forward_rows`]) instead of one row-vector pass per
@@ -64,4 +63,4 @@ pub use service::{
     ServiceStats, SharedPolicy,
 };
 pub use session::Session;
-pub use store::{SessionStore, StoreConfig, StoreStats};
+pub use store::{SessionStore, StoreStats};

@@ -1,4 +1,4 @@
-//! The pricing service: a frozen policy plus sharded session state answering
+//! The pricing service: a frozen policy plus bounded session state answering
 //! quote requests in batches.
 
 use std::fmt;
@@ -14,7 +14,7 @@ use vtm_rl::env::ActionSpace;
 use vtm_rl::running_stat::RunningMeanStd;
 use vtm_rl::snapshot::{PolicySnapshot, SnapshotError};
 
-use crate::store::{SessionStore, StoreConfig};
+use crate::store::SessionStore;
 
 /// Typed failure modes of the serving layer.
 #[derive(Debug)]
@@ -145,11 +145,10 @@ pub struct ServiceConfig {
     /// Feature-block width per round (e.g. `1 + N` for the static market,
     /// `OBS_FEATURES` for scenario environments).
     pub features_per_round: usize,
-    /// Number of session-state shards (lock granularity under concurrency).
-    pub shards: usize,
-    /// Maximum live sessions per shard (`0` = unbounded). Inserting into a
-    /// full shard evicts that shard's least-recently-touched session, so a
-    /// fleet of distinct VMU ids cannot exhaust memory.
+    /// Maximum live sessions of the service's one bounded LRU store (`0` =
+    /// unbounded). Inserting a new session into a full store evicts its
+    /// least-recently-touched session, so a fleet of distinct VMU ids
+    /// cannot exhaust memory.
     pub session_capacity: usize,
     /// Worker threads for the batched forward pass (`1` = inline, `0` = one
     /// per core). Chunks of the batch are evaluated on scoped threads;
@@ -161,8 +160,8 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A configuration with 16 shards, unbounded sessions, one inference
-    /// thread and the f64 forward pass.
+    /// A configuration with unbounded sessions, one inference thread and the
+    /// f64 forward pass.
     ///
     /// # Panics
     ///
@@ -173,20 +172,13 @@ impl ServiceConfig {
         Self {
             history_length,
             features_per_round,
-            shards: 16,
             session_capacity: 0,
             inference_threads: 1,
             precision: Precision::F64,
         }
     }
 
-    /// Overrides the shard count (clamped to at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Overrides the per-shard session capacity (`0` = unbounded).
+    /// Overrides the session capacity (`0` = unbounded).
     pub fn with_session_capacity(mut self, capacity: usize) -> Self {
         self.session_capacity = capacity;
         self
@@ -265,14 +257,14 @@ pub struct AdvancedRow {
 /// Aggregate serving counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
-    /// Live sessions across all shards.
+    /// Live sessions.
     pub sessions: usize,
     /// Requests applied to session state since construction: each one
     /// advanced its session's window, whether or not its quote was then
     /// delivered (a gateway request that expires or whose pricing panics
     /// still counts).
     pub quotes: u64,
-    /// Sessions evicted because their shard hit capacity.
+    /// Sessions evicted because the store hit capacity.
     pub evicted: u64,
 }
 
@@ -286,7 +278,7 @@ impl ServiceStats {
     ) {
         registry.gauge(
             "vtm_serve_sessions",
-            "Live sessions across all shards.",
+            "Live sessions in the bounded LRU store.",
             labels,
             self.sessions as f64,
         );
@@ -298,7 +290,7 @@ impl ServiceStats {
         );
         registry.counter(
             "vtm_serve_sessions_evicted_total",
-            "Sessions evicted because their shard hit capacity.",
+            "Sessions evicted because the store hit capacity.",
             labels,
             self.evicted,
         );
@@ -371,7 +363,7 @@ impl SharedPolicy {
     }
 }
 
-/// A frozen pricing policy serving batched quote requests over sharded
+/// A frozen pricing policy serving batched quote requests over bounded
 /// per-session observation state. See the crate docs for the design.
 #[derive(Debug)]
 pub struct PricingService {
@@ -385,9 +377,7 @@ pub struct PricingService {
     obs_normalizer: Option<RunningMeanStd>,
     config: ServiceConfig,
     store: SessionStore,
-    /// Requests applied to session state ([`ServiceStats::quotes`]);
-    /// atomic so the hot path never serializes on a global lock (session
-    /// state already contends per shard).
+    /// Requests applied to session state ([`ServiceStats::quotes`]).
     quotes_served: AtomicU64,
     /// FNV-1a over the originating policy snapshot's canonical byte
     /// encoding — the policy *version* a journal snapshot records, so
@@ -430,12 +420,7 @@ impl PricingService {
                 policy_obs_dim: policy.obs_dim(),
             });
         }
-        let store = SessionStore::new(
-            config.history_length,
-            StoreConfig::default()
-                .with_shards(config.shards)
-                .with_capacity_per_shard(config.session_capacity),
-        );
+        let store = SessionStore::new(config.history_length, config.session_capacity);
         let inference = match config.precision {
             Precision::F64 => None,
             Precision::F32 => Some(policy.inference_model()),
@@ -484,17 +469,6 @@ impl PricingService {
         }
     }
 
-    /// Read access to the underlying [`SessionStore`] (shard occupancy,
-    /// eviction counters — e.g. for gateway telemetry).
-    pub fn session_store(&self) -> &SessionStore {
-        &self.store
-    }
-
-    /// Drops one session's state; returns whether it existed.
-    pub fn end_session(&self, session: u64) -> bool {
-        self.store.remove(session)
-    }
-
     /// FNV-1a fingerprint of the policy snapshot this service was built
     /// from — the "policy version" recorded in journal state snapshots.
     /// Two services quote identically on every request stream whenever
@@ -524,23 +498,17 @@ impl PricingService {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::State`] for corrupt/truncated payloads, a
-    /// shard-count mismatch and anything [`SessionStore::restore_payload`]
-    /// refuses (a session under the wrong shard, a feature block admission
-    /// would reject) — never panics; the session store is left unchanged
-    /// on error.
+    /// Returns [`ServeError::State`] for corrupt, truncated or padded
+    /// payloads and anything else [`SessionStore::restore_payload`] refuses
+    /// (a session over capacity or stamped at or after the clock, a feature
+    /// block admission would reject) — never panics; the service is left
+    /// unchanged on error.
     pub fn restore_state(&self, payload: &[u8]) -> Result<(), ServeError> {
         let mut r = PayloadReader::new(payload);
         let quotes = r.read_u64().map_err(ServeError::State)?;
         self.store
             .restore_payload(&mut r, self.config.features_per_round)
             .map_err(ServeError::State)?;
-        if !r.is_exhausted() {
-            return Err(ServeError::State(CodecError::Invalid(format!(
-                "{} trailing bytes after service state",
-                r.remaining()
-            ))));
-        }
         self.quotes_served.store(quotes, Ordering::Relaxed);
         Ok(())
     }
@@ -588,8 +556,8 @@ impl PricingService {
     }
 
     /// The serial step: checks every request, then appends each feature
-    /// block to its session in request order (locking every touched shard
-    /// once), counts the requests as applied and returns each request's
+    /// block to its session in request order (under the store's one lock),
+    /// counts the requests as applied and returns each request's
     /// normalized observation row. A rejected batch changes no state.
     /// Session state is a function of the order in which requests reach
     /// this step, so a caller serving one stream from several threads runs
@@ -617,9 +585,7 @@ impl PricingService {
             })
             .collect();
         let ids: Vec<u64> = requests.iter().map(|r| r.session).collect();
-        // The store locks each touched shard exactly once; requests for the
-        // same session are applied in request order.
-        self.store.touch_grouped(&ids, |idx, session| {
+        self.store.touch(&ids, |idx, session| {
             session.push(requests[idx].features.clone(), history);
             let row = &mut rows[idx];
             row.warmed = session.warmed(history);
@@ -869,9 +835,7 @@ mod tests {
         assert!(!err.to_string().is_empty());
         assert!(service.quote_batch(&[]).unwrap().is_empty());
         service.quote_batch(&requests(0, 3, 2)).unwrap();
-        assert!(service.end_session(0));
-        assert!(!service.end_session(0));
-        assert_eq!(service.stats().sessions, 2);
+        assert_eq!(service.stats().sessions, 3);
     }
 
     #[test]
@@ -941,18 +905,26 @@ mod tests {
         assert_eq!(quote.unwrap().action, agent.act_deterministic(&obs));
     }
 
+    /// A fabric routes sessions to its gateways with `session_shard`; each
+    /// gateway's service still fills its whole capacity, at any fabric
+    /// shard count.
     #[test]
-    fn shards_spread_sessions() {
+    fn each_gateway_fills_its_capacity_at_any_fabric_shard_count() {
+        const CAPACITY: usize = 256;
         let snap = snapshot(6, 7);
-        let service =
-            PricingService::from_snapshot(&snap, ServiceConfig::new(3, 2).with_shards(4)).unwrap();
-        service.quote_batch(&requests(0, 64, 2)).unwrap();
-        let store = service.session_store();
-        let occupied = (0..store.shard_count())
-            .filter(|&s| store.shard_len(s) > 0)
-            .count();
-        assert!(occupied >= 3, "only {occupied} of 4 shards used");
-        assert_eq!(service.stats().sessions, 64);
+        let config = ServiceConfig::new(3, 2).with_session_capacity(CAPACITY);
+        for shards in [2, 4] {
+            let mut lanes = vec![Vec::new(); shards];
+            for session in 0..4096 {
+                let lane = &mut lanes[vtm_core::routing::session_shard(session, shards)];
+                lane.push(QuoteRequest::new(session, vec![0.5, 0.25]));
+            }
+            for (shard, lane) in lanes.iter().enumerate() {
+                let service = PricingService::from_snapshot(&snap, config).unwrap();
+                service.quote_batch(lane).unwrap();
+                assert_eq!(service.stats().sessions, CAPACITY, "{shard} of {shards}");
+            }
+        }
     }
 
     #[test]
@@ -966,16 +938,14 @@ mod tests {
     #[test]
     fn capacity_bound_holds_under_many_distinct_sessions() {
         let snap = snapshot(6, 8);
-        let config = ServiceConfig::new(3, 2)
-            .with_shards(4)
-            .with_session_capacity(8);
+        let config = ServiceConfig::new(3, 2).with_session_capacity(8);
         let service = PricingService::from_snapshot(&snap, config).unwrap();
         for round in 0..4u64 {
             let reqs: Vec<QuoteRequest> = (0..100u64)
                 .map(|s| QuoteRequest::new(round * 1000 + s, vec![0.1, 0.2]))
                 .collect();
             service.quote_batch(&reqs).unwrap();
-            assert!(service.stats().sessions <= 4 * 8);
+            assert_eq!(service.stats().sessions, 8);
         }
         assert!(service.stats().evicted > 0);
         assert_eq!(service.stats().quotes, 400);
@@ -984,9 +954,7 @@ mod tests {
     #[test]
     fn state_save_restore_round_trips_and_digests_agree() {
         let snap = snapshot(8, 11);
-        let config = ServiceConfig::new(4, 2)
-            .with_shards(4)
-            .with_session_capacity(4);
+        let config = ServiceConfig::new(4, 2).with_session_capacity(8);
         let source = PricingService::from_snapshot(&snap, config).unwrap();
         for round in 0..5 {
             source.quote_batch(&requests(round, 11, 2)).unwrap();
@@ -1022,37 +990,36 @@ mod tests {
             service.restore_state(&state[..state.len() - 3]),
             Err(ServeError::State(CodecError::Truncated { .. }))
         ));
-        // Trailing garbage.
-        let mut padded = state.clone();
-        padded.extend_from_slice(&[0u8; 4]);
-        assert!(matches!(
-            service.restore_state(&padded),
-            Err(ServeError::State(CodecError::Invalid(_)))
-        ));
-        // Failed restores leave the live state untouched.
         assert_eq!(service.state_digest(), digest);
+        // Trailing garbage, after this service's state and after another
+        // service's: refused before it replaces anything.
+        let other = PricingService::from_snapshot(&snap, ServiceConfig::new(3, 2)).unwrap();
+        other.quote_batch(&requests(1, 5, 2)).unwrap();
+        for mut padded in [state, other.save_state()] {
+            padded.extend_from_slice(&[0u8; 4]);
+            assert!(matches!(
+                service.restore_state(&padded),
+                Err(ServeError::State(CodecError::Invalid(_)))
+            ));
+            // Failed restores leave the live state untouched.
+            assert_eq!(service.state_digest(), digest);
+        }
     }
 
-    /// One shard of a hand-built payload: `(id, feature blocks)` sessions.
-    type ShardSessions = Vec<(u64, Vec<Vec<f64>>)>;
-
-    /// A hand-built service-state payload: no quotes served, then per
-    /// shard a tick, its sessions in the given order (each last touched at
-    /// tick 0), and nothing evicted.
-    fn state_payload(shards: &[ShardSessions]) -> Vec<u8> {
+    /// A hand-built service-state payload: no quotes served, the clock at
+    /// `tick`, the `(id, feature blocks)` sessions in the given order (each
+    /// last touched at `stamp`), and nothing evicted.
+    fn state_payload(tick: u64, stamp: u64, sessions: &[(u64, Vec<Vec<f64>>)]) -> Vec<u8> {
         let mut w = PayloadWriter::new();
         w.write_u64(0);
-        w.write_usize(shards.len());
-        for sessions in shards {
-            w.write_u64(sessions.len() as u64);
-            w.write_usize(sessions.len());
-            for (id, blocks) in sessions {
-                w.write_u64(*id);
-                w.write_u64(0);
-                w.write_usize(blocks.len());
-                for block in blocks {
-                    w.write_f64_vec(block);
-                }
+        w.write_u64(tick);
+        w.write_usize(sessions.len());
+        for (id, blocks) in sessions {
+            w.write_u64(*id);
+            w.write_u64(stamp);
+            w.write_usize(blocks.len());
+            for block in blocks {
+                w.write_f64_vec(block);
             }
         }
         w.write_u64(0);
@@ -1060,11 +1027,11 @@ mod tests {
     }
 
     /// A restored payload is held to what admission holds a request to: a
-    /// feature block of the wrong width or with a non-finite value, a
-    /// session under a shard its id does not hash to, ids out of ascending
-    /// order (duplicates included) and a shard over the session capacity
-    /// are refused with a typed error, with or without an observation
-    /// normalizer, and leave the service exactly as it was.
+    /// feature block of the wrong width or with a non-finite value, ids out
+    /// of ascending order (duplicates included), more sessions than the
+    /// capacity and an LRU stamp at or after the clock are refused with a
+    /// typed error, with or without an observation normalizer, and leave
+    /// the service exactly as it was.
     #[test]
     fn state_restore_refuses_what_admission_refuses() {
         let mut agent = PpoAgent::new(
@@ -1074,15 +1041,8 @@ mod tests {
         let plain = agent.snapshot();
         agent.set_obs_normalizer(Some(RunningMeanStd::new(8)));
         let normalized = agent.snapshot();
-        let config = ServiceConfig::new(4, 2)
-            .with_shards(2)
-            .with_session_capacity(2);
-        let probe = PricingService::from_snapshot(&plain, config).unwrap();
-        let shard_of = |id| probe.session_store().shard_of(id);
-        let mut first_shard = (100..).filter(|&id| shard_of(id) == 0);
-        let (a, b) = (first_shard.next().unwrap(), first_shard.next().unwrap());
-        let d = first_shard.next().unwrap();
-        let c = (100..).find(|&id| shard_of(id) == 1).unwrap();
+        let config = ServiceConfig::new(4, 2).with_session_capacity(2);
+        let (a, b, c) = (100, 101, 102);
         let full = || vec![vec![0.5, 0.25]; 4];
         // Session `a` with its newest block replaced.
         let newest = |block| {
@@ -1090,20 +1050,21 @@ mod tests {
             blocks[3] = block;
             vec![(a, blocks)]
         };
-        let first = |sessions| state_payload(&[sessions, vec![]]);
+        let state = |sessions: Vec<_>| state_payload(1, 0, &sessions);
         let cases = [
-            ("5-wide block", first(newest(vec![0.5; 5]))),
-            ("NaN feature", first(newest(vec![f64::NAN, 0.5]))),
-            ("infinite feature", first(newest(vec![0.5, f64::INFINITY]))),
-            ("wrong shard", state_payload(&[vec![], vec![(a, full())]])),
-            ("duplicate id", first(vec![(a, full()), (a, full())])),
-            ("descending ids", first(vec![(b, full()), (a, full())])),
+            ("5-wide block", state(newest(vec![0.5; 5]))),
+            ("NaN feature", state(newest(vec![f64::NAN, 0.5]))),
+            ("infinite feature", state(newest(vec![0.5, f64::INFINITY]))),
+            ("duplicate id", state(vec![(a, full()), (a, full())])),
+            ("descending ids", state(vec![(b, full()), (a, full())])),
             (
                 "over capacity",
-                first(vec![(a, full()), (b, full()), (d, full())]),
+                state(vec![(a, full()), (b, full()), (c, full())]),
             ),
+            ("stamp at the clock", state_payload(1, 1, &[(a, full())])),
+            ("stamp after it", state_payload(1, u64::MAX, &[(a, full())])),
         ];
-        let valid = state_payload(&[vec![(a, full()), (b, full())], vec![(c, full())]]);
+        let valid = state(vec![(a, full()), (b, full())]);
         for snapshot in [&plain, &normalized] {
             let service = PricingService::from_snapshot(snapshot, config).unwrap();
             let twin = PricingService::from_snapshot(snapshot, config).unwrap();
@@ -1129,7 +1090,7 @@ mod tests {
             // The same builder's well-formed payload restores, and its
             // sessions quote from their full restored windows.
             service.restore_state(&valid).unwrap();
-            assert_eq!(service.stats().sessions, 3);
+            assert_eq!(service.stats().sessions, 2);
             let quote = service.quote_one(&QuoteRequest::new(a, vec![0.5, 0.25]));
             assert!(quote.unwrap().warmed);
         }

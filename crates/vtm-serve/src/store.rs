@@ -1,180 +1,93 @@
-//! Sharded, capacity-bounded session store with LRU eviction.
+//! Capacity-bounded session store with LRU eviction.
 //!
 //! The serving layer keeps one rolling observation window per VMU session.
 //! At fleet scale ("millions of users") an unbounded map is a memory leak
 //! with extra steps: trips end, vehicles park, ids are never seen again.
-//! [`SessionStore`] bounds that state by **capacity**: each shard holds at
-//! most `capacity_per_shard` sessions, and inserting into a full shard
-//! evicts the least-recently-touched session of *that shard only*
-//! (eviction never crosses a shard boundary).
+//! [`SessionStore`] bounds that state by **capacity**: it holds at most
+//! `capacity` sessions, and inserting a new session into a full store
+//! evicts the least-recently-touched one.
 //!
-//! Time is *logical*, not wall-clock, and **per shard**: each shard
-//! advances one tick per request it serves, so a session's recency is
-//! "requests its shard has served since it was last touched". Because a
-//! shard always sees its requests in submission order no matter how the
-//! caller slices the stream into batches, every eviction decision that
-//! affects quote output is a pure function of the request sequence — which
-//! is what lets the gateway's determinism contract (gateway ≡ direct batch
-//! calls, at any executor count) extend to stores with eviction enabled.
+//! Time is *logical*, not wall-clock: the store advances one tick per
+//! request it serves, so a session's recency is "requests served since it
+//! was last touched". The store sees its requests in submission order no
+//! matter how the caller slices the stream into batches, so every eviction
+//! decision that affects quote output is a pure function of the request
+//! sequence — which is what lets the gateway's determinism contract
+//! (gateway ≡ direct batch calls, at any executor count) extend to stores
+//! with eviction enabled.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Mutex, MutexGuard};
 
 use vtm_nn::codec::{CodecError, PayloadReader, PayloadWriter};
 
 use crate::session::Session;
 
-/// Sizing and eviction policy of a [`SessionStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreConfig {
-    /// Number of independent mutex shards (lock granularity; clamped ≥ 1).
-    pub shards: usize,
-    /// Maximum live sessions per shard; `0` = unbounded. Inserting into a
-    /// full shard evicts that shard's least-recently-touched session.
-    pub capacity_per_shard: usize,
-}
-
-impl Default for StoreConfig {
-    /// 16 shards, unbounded capacity — the pre-gateway behaviour.
-    fn default() -> Self {
-        Self {
-            shards: 16,
-            capacity_per_shard: 0,
-        }
-    }
-}
-
-impl StoreConfig {
-    /// Overrides the shard count (clamped to at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Overrides the per-shard session capacity (`0` = unbounded).
-    pub fn with_capacity_per_shard(mut self, capacity: usize) -> Self {
-        self.capacity_per_shard = capacity;
-        self
-    }
-}
-
 /// Aggregate counters of a [`SessionStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
-    /// Live sessions across all shards.
+    /// Live sessions.
     pub sessions: usize,
-    /// Sessions evicted because their shard hit capacity.
+    /// Sessions evicted because the store hit capacity.
     pub evicted: u64,
 }
 
-/// One shard entry: the session plus its last-touched shard tick.
+/// One live session plus the tick of its last visit.
 #[derive(Debug)]
 struct Entry {
     session: Session,
     last_touched: u64,
 }
 
-/// One shard: its sessions plus its own logical clock (one tick per
-/// request this shard has served — slicing-invariant, see module docs).
+/// Everything the store's one lock guards.
 #[derive(Debug, Default)]
-struct Shard {
+struct State {
     sessions: HashMap<u64, Entry>,
+    /// `(last_touched, id)` of every live session, least recent first: the
+    /// first element is the eviction victim.
+    recency: BTreeSet<(u64, u64)>,
+    /// The logical clock: one tick per visit (see the module docs).
     tick: u64,
+    evicted: u64,
 }
 
-/// A sharded map from session id to rolling observation state, bounded by
-/// per-shard capacity (LRU eviction). See the module docs.
+/// A map from session id to rolling observation state, bounded by capacity
+/// (LRU eviction). See the module docs.
 #[derive(Debug)]
 pub struct SessionStore {
-    config: StoreConfig,
     history_length: usize,
-    shards: Vec<Mutex<Shard>>,
-    evicted: AtomicU64,
+    capacity: usize,
+    state: Mutex<State>,
 }
 
 impl SessionStore {
-    /// Creates an empty store for sessions with the given history window.
+    /// Creates an empty store for sessions with the given history window,
+    /// holding at most `capacity` sessions (`0` = unbounded).
     ///
     /// # Panics
     ///
     /// Panics if `history_length` is zero.
-    pub fn new(history_length: usize, config: StoreConfig) -> Self {
+    pub fn new(history_length: usize, capacity: usize) -> Self {
         assert!(history_length > 0, "history length must be positive");
-        let shards = (0..config.shards.max(1))
-            .map(|_| Mutex::new(Shard::default()))
-            .collect();
         Self {
-            config,
             history_length,
-            shards,
-            evicted: AtomicU64::new(0),
+            capacity,
+            state: Mutex::new(State::default()),
         }
     }
 
-    /// The store's configuration.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a session id lands in: the workspace-wide
-    /// [`vtm_core::routing::session_shard`] hash, so lock sharding here and
-    /// gateway-shard routing in the fabric agree on one pure function.
-    pub fn shard_of(&self, session: u64) -> usize {
-        vtm_core::routing::session_shard(session, self.shards.len())
-    }
-
-    /// Live sessions in one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard]
-            .lock()
-            .expect("shard poisoned")
-            .sessions
-            .len()
-    }
-
-    /// The session ids currently alive in one shard, in ascending order
-    /// (test/diagnostic helper; takes the shard lock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_sessions(&self, shard: usize) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.shards[shard]
-            .lock()
-            .expect("shard poisoned")
-            .sessions
-            .keys()
-            .copied()
-            .collect();
-        ids.sort_unstable();
-        ids
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("session store poisoned")
     }
 
     /// Whether a session is currently alive (does not touch it).
     pub fn contains(&self, session: u64) -> bool {
-        self.shards[self.shard_of(session)]
-            .lock()
-            .expect("shard poisoned")
-            .sessions
-            .contains_key(&session)
+        self.lock().sessions.contains_key(&session)
     }
 
-    /// Total live sessions across all shards.
+    /// Live sessions.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").sessions.len())
-            .sum()
+        self.lock().sessions.len()
     }
 
     /// Whether no session is alive.
@@ -184,179 +97,138 @@ impl SessionStore {
 
     /// Aggregate counters.
     pub fn stats(&self) -> StoreStats {
+        let state = self.lock();
         StoreStats {
-            sessions: self.len(),
-            evicted: self.evicted.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops one session; returns whether it existed.
-    pub fn remove(&self, session: u64) -> bool {
-        self.shards[self.shard_of(session)]
-            .lock()
-            .expect("shard poisoned")
-            .sessions
-            .remove(&session)
-            .is_some()
-    }
-
-    /// Evicts the least-recently-touched entry of a locked shard.
-    fn evict_lru(&self, sessions: &mut HashMap<u64, Entry>) {
-        if let Some(&victim) = sessions
-            .iter()
-            .min_by_key(|(id, entry)| (entry.last_touched, **id))
-            .map(|(id, _)| id)
-        {
-            sessions.remove(&victim);
-            self.evicted.fetch_add(1, Ordering::Relaxed);
+            sessions: state.sessions.len(),
+            evicted: state.evicted,
         }
     }
 
     /// Serializes the complete store state into a payload in a *canonical*
-    /// form: shards in index order, each shard's logical clock followed by
-    /// its entries sorted by session id, then the eviction counter. Two
-    /// stores holding the same logical state always serialize to identical
-    /// bytes, so the payload doubles as the store's determinism digest
-    /// input (replay tests hash it with FNV-1a).
-    ///
-    /// Locks each shard in turn; the caller is responsible for quiescing
-    /// concurrent traffic if a frame-consistent snapshot is required.
+    /// form: the logical clock, the entries sorted by session id (each its
+    /// id, LRU stamp and window), then the eviction counter. Two stores
+    /// holding the same logical state always serialize to identical bytes,
+    /// so the payload doubles as the store's determinism digest input
+    /// (replay tests hash it with FNV-1a).
     pub fn save_payload(&self, w: &mut PayloadWriter) {
-        w.write_usize(self.shards.len());
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard poisoned");
-            w.write_u64(shard.tick);
-            let mut ids: Vec<u64> = shard.sessions.keys().copied().collect();
-            ids.sort_unstable();
-            w.write_usize(ids.len());
-            for id in ids {
-                let entry = &shard.sessions[&id];
-                w.write_u64(id);
-                w.write_u64(entry.last_touched);
-                entry.session.save_payload(w);
-            }
+        let state = self.lock();
+        w.write_u64(state.tick);
+        let mut ids: Vec<u64> = state.sessions.keys().copied().collect();
+        ids.sort_unstable();
+        w.write_usize(ids.len());
+        for id in ids {
+            let entry = &state.sessions[&id];
+            w.write_u64(id);
+            w.write_u64(entry.last_touched);
+            entry.session.save_payload(w);
         }
-        w.write_u64(self.evicted.load(Ordering::Relaxed));
+        w.write_u64(state.evicted);
     }
 
     /// Replaces the store's entire state with one written by
     /// [`SessionStore::save_payload`] for sessions of `features` values per
-    /// round. The shard count must match this store's configuration (shard
-    /// assignment is a pure function of the shard count, so restoring
-    /// across a different sharding would scatter sessions to the wrong
-    /// locks), every id must be listed, in strictly ascending order, under
-    /// the shard [`SessionStore::shard_of`] names, no shard may list more
-    /// sessions than `capacity_per_shard` (eviction only keeps a full
-    /// shard full, so it would never shrink back), and every session must
-    /// pass [`Session::load_payload`]'s checks — the same width and
-    /// finiteness admission holds a request to.
+    /// round, which must be the rest of `r`. It refuses what live serving
+    /// never produces: ids out of strictly ascending order, more sessions
+    /// than the capacity (eviction only keeps a full store full, so it
+    /// would never shrink back), an LRU stamp at or after the clock (live
+    /// serving stamps each visit and then advances the clock) and a session
+    /// [`Session::load_payload`] refuses — the same width and finiteness
+    /// admission holds a request to.
     ///
     /// # Errors
     ///
     /// Returns a typed [`CodecError`] for truncated or structurally invalid
-    /// payloads, for a shard-count mismatch and for a shard over capacity —
-    /// never panics. On error the store is left unchanged.
+    /// payloads and for trailing bytes — never panics. The payload is
+    /// decoded and checked in full before it replaces anything, so on error
+    /// the store is left unchanged.
     pub fn restore_payload(
         &self,
         r: &mut PayloadReader<'_>,
         features: usize,
     ) -> Result<(), CodecError> {
-        let shards = r.read_usize()?;
-        if shards != self.shards.len() {
+        let mut state = State {
+            tick: r.read_u64()?,
+            ..State::default()
+        };
+        let count = r.read_usize()?;
+        if self.capacity > 0 && count > self.capacity {
             return Err(CodecError::Invalid(format!(
-                "snapshot has {shards} shards, store has {}",
-                self.shards.len()
+                "payload lists {count} sessions, capacity is {}",
+                self.capacity
             )));
         }
-        // Decode fully before touching the live shards so a corrupt tail
-        // cannot leave the store half-restored.
-        let mut decoded = Vec::with_capacity(shards);
-        for index in 0..shards {
-            let mut shard = Shard {
-                sessions: HashMap::new(),
-                tick: r.read_u64()?,
-            };
-            let count = r.read_usize()?;
-            let capacity = self.config.capacity_per_shard;
-            if capacity > 0 && count > capacity {
+        let mut previous = None;
+        for _ in 0..count {
+            let id = r.read_u64()?;
+            if previous.is_some_and(|previous| previous >= id) {
                 return Err(CodecError::Invalid(format!(
-                    "shard {index} lists {count} sessions, capacity is {capacity}"
+                    "session {id} is listed out of ascending order"
                 )));
             }
-            let mut previous = None;
-            for _ in 0..count {
-                let id = r.read_u64()?;
-                if previous.is_some_and(|previous| previous >= id) {
-                    return Err(CodecError::Invalid(format!(
-                        "shard {index} lists session {id} out of ascending order"
-                    )));
-                }
-                if self.shard_of(id) != index {
-                    return Err(CodecError::Invalid(format!(
-                        "session {id} is listed under shard {index}, belongs to shard {}",
-                        self.shard_of(id)
-                    )));
-                }
-                previous = Some(id);
-                let last_touched = r.read_u64()?;
-                let session = Session::load_payload(r, self.history_length, features)?;
-                shard.sessions.insert(
-                    id,
-                    Entry {
-                        session,
-                        last_touched,
-                    },
-                );
+            previous = Some(id);
+            let last_touched = r.read_u64()?;
+            if last_touched >= state.tick {
+                return Err(CodecError::Invalid(format!(
+                    "session {id} was last touched at tick {last_touched}, the clock reads {}",
+                    state.tick
+                )));
             }
-            decoded.push(shard);
+            let session = Session::load_payload(r, self.history_length, features)?;
+            state.recency.insert((last_touched, id));
+            state.sessions.insert(
+                id,
+                Entry {
+                    session,
+                    last_touched,
+                },
+            );
         }
-        let evicted = r.read_u64()?;
-        for (live, shard) in self.shards.iter().zip(decoded) {
-            *live.lock().expect("shard poisoned") = shard;
+        state.evicted = r.read_u64()?;
+        if !r.is_exhausted() {
+            return Err(CodecError::Invalid(format!(
+                "{} trailing bytes after the session store",
+                r.remaining()
+            )));
         }
-        self.evicted.store(evicted, Ordering::Relaxed);
+        *self.lock() = state;
         Ok(())
     }
 
-    /// Visits (creating on demand) the session of every id in `ids`,
-    /// calling `f(index_into_ids, &mut Session)` exactly once per id.
-    ///
-    /// Ids are grouped by shard so each touched shard is locked exactly
-    /// once; within a shard, ids are visited in their `ids` order (so
-    /// repeated requests for the same session apply in request order).
-    /// Every visit advances the shard's logical clock by one tick and
-    /// stamps the session with it. Inserting into a full shard evicts that
-    /// shard's LRU entry first; the choice uses only per-shard request
-    /// ticks, so it is invariant to how the request stream is sliced into
-    /// batches.
-    pub fn touch_grouped(&self, ids: &[u64], mut f: impl FnMut(usize, &mut Session)) {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+    /// Visits (creating on demand) the session of every id in `ids`, in
+    /// order and under one lock, calling `f(index_into_ids, &mut Session)`
+    /// once per id (so repeated requests for the same session apply in
+    /// request order). Every visit advances the logical clock by one tick
+    /// and stamps the session with it. Inserting into a full store first
+    /// evicts its least-recently-touched session; the choice uses only
+    /// request ticks, so it is invariant to how the request stream is
+    /// sliced into batches.
+    pub fn touch(&self, ids: &[u64], mut f: impl FnMut(usize, &mut Session)) {
+        let mut guard = self.lock();
+        let state = &mut *guard;
         for (idx, &id) in ids.iter().enumerate() {
-            by_shard[self.shard_of(id)].push(idx);
-        }
-        let capacity = self.config.capacity_per_shard;
-        for (shard, indices) in self.shards.iter().zip(by_shard.iter()) {
-            if indices.is_empty() {
-                continue;
-            }
-            let mut shard = shard.lock().expect("shard poisoned");
-            for &idx in indices {
-                let id = ids[idx];
-                let now = shard.tick;
-                shard.tick += 1;
-                if !shard.sessions.contains_key(&id)
-                    && capacity > 0
-                    && shard.sessions.len() >= capacity
-                {
-                    self.evict_lru(&mut shard.sessions);
+            let now = state.tick;
+            state.tick += 1;
+            let entry = match state.sessions.get_mut(&id) {
+                Some(entry) => {
+                    state.recency.remove(&(entry.last_touched, id));
+                    entry.last_touched = now;
+                    entry
                 }
-                let entry = shard.sessions.entry(id).or_insert_with(|| Entry {
-                    session: Session::new(self.history_length),
-                    last_touched: now,
-                });
-                entry.last_touched = now;
-                f(idx, &mut entry.session);
-            }
+                None => {
+                    if self.capacity > 0 && state.sessions.len() >= self.capacity {
+                        if let Some((_, victim)) = state.recency.pop_first() {
+                            state.sessions.remove(&victim);
+                            state.evicted += 1;
+                        }
+                    }
+                    state.sessions.entry(id).or_insert(Entry {
+                        session: Session::new(self.history_length),
+                        last_touched: now,
+                    })
+                }
+            };
+            state.recency.insert((now, id));
+            f(idx, &mut entry.session);
         }
     }
 }
@@ -365,21 +237,16 @@ impl SessionStore {
 mod tests {
     use super::*;
 
-    fn store(shards: usize, capacity: usize) -> SessionStore {
-        SessionStore::new(
-            2,
-            StoreConfig::default()
-                .with_shards(shards)
-                .with_capacity_per_shard(capacity),
-        )
+    fn store(capacity: usize) -> SessionStore {
+        SessionStore::new(2, capacity)
     }
 
     #[test]
     fn capacity_evicts_the_lru_session() {
-        let store = store(1, 2);
-        store.touch_grouped(&[1, 2], |_, _| {});
-        store.touch_grouped(&[1], |_, _| {}); // 2 becomes the LRU
-        store.touch_grouped(&[3], |_, _| {});
+        let store = store(2);
+        store.touch(&[1, 2], |_, _| {});
+        store.touch(&[1], |_, _| {}); // 2 becomes the LRU
+        store.touch(&[3], |_, _| {});
         assert!(store.contains(1) && store.contains(3));
         assert!(!store.contains(2));
         assert_eq!(store.stats().evicted, 1);
@@ -393,13 +260,13 @@ mod tests {
         // (the determinism contract the gateway leans on, with capacity
         // eviction enabled). Visit `i` pushes the block `[i]`, so a window
         // names the visits it kept, and an evicted session restarts empty.
-        let singles = store(4, 2);
-        let batched = store(4, 2);
+        let singles = store(2);
+        let batched = store(2);
         let sequence: Vec<u64> = vec![0, 9, 17, 3, 9, 0, 25, 3, 17, 9, 0, 33, 9, 41, 0];
         for (i, &id) in sequence.iter().enumerate() {
-            singles.touch_grouped(&[id], |_, s| s.push(vec![i as f64], 2));
+            singles.touch(&[id], |_, s| s.push(vec![i as f64], 2));
         }
-        batched.touch_grouped(&sequence, |i, s| s.push(vec![i as f64], 2));
+        batched.touch(&sequence, |i, s| s.push(vec![i as f64], 2));
         assert!(batched.stats().evicted > 0, "the sequence never evicted");
         // Probe every id once and compare the observable session state.
         let mut probe: Vec<u64> = sequence.clone();
@@ -407,10 +274,9 @@ mod tests {
         probe.dedup();
         let windows = |store: &SessionStore| {
             let mut seen = Vec::new();
-            store.touch_grouped(&probe, |idx, s| {
+            store.touch(&probe, |idx, s| {
                 seen.push((probe[idx], s.warmed(2), s.observation(2, 1)));
             });
-            seen.sort_by_key(|&(id, ..)| id);
             seen
         };
         assert_eq!(windows(&singles), windows(&batched));
@@ -418,9 +284,9 @@ mod tests {
 
     #[test]
     fn grouped_visits_preserve_input_order_per_session() {
-        let store = store(4, 0);
+        let store = store(0);
         let mut seen = Vec::new();
-        store.touch_grouped(&[5, 5, 5], |idx, session| {
+        store.touch(&[5, 5, 5], |idx, session| {
             session.push(vec![idx as f64], 2);
             seen.push(session.observation(2, 1));
         });
@@ -429,10 +295,10 @@ mod tests {
 
     #[test]
     fn state_round_trip_is_byte_identical_and_behaviour_preserving() {
-        let source = store(4, 2);
+        let source = store(4);
         let sequence: Vec<u64> = vec![0, 9, 17, 3, 9, 0, 25, 3, 17, 9, 0, 33, 9, 41, 0];
         for &id in &sequence {
-            source.touch_grouped(&[id], |_, s| {
+            source.touch(&[id], |_, s| {
                 s.push(vec![id as f64, 0.5], 2);
             });
         }
@@ -440,24 +306,23 @@ mod tests {
         source.save_payload(&mut w);
         let bytes = w.into_bytes();
 
-        let restored = store(4, 2);
+        let restored = store(4);
         let mut r = PayloadReader::new(&bytes);
         restored.restore_payload(&mut r, 2).unwrap();
-        assert!(r.is_exhausted());
         assert_eq!(restored.stats(), source.stats());
 
         // Canonical serialization: the restored store re-serializes to the
-        // exact same bytes even though its HashMaps were rebuilt.
+        // exact same bytes even though its map and index were rebuilt.
         let mut w2 = PayloadWriter::new();
         restored.save_payload(&mut w2);
         assert_eq!(w2.as_bytes(), bytes.as_slice());
 
         // Behaviour equivalence: future touches (incl. LRU decisions, which
-        // depend on the restored ticks and LRU stamps) agree.
+        // depend on the restored clock and LRU stamps) agree.
         let probe: Vec<u64> = vec![49, 9, 0, 57, 17];
         let visit = |store: &SessionStore| {
             let mut seen = Vec::new();
-            store.touch_grouped(&probe, |idx, s| {
+            store.touch(&probe, |idx, s| {
                 s.push(vec![idx as f64, 1.0], 2);
                 seen.push((probe[idx], s.observation(2, 2), s.warmed(2)));
             });
@@ -468,41 +333,39 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_mismatched_shard_count_and_corrupt_payloads() {
-        let source = store(2, 0);
-        source.touch_grouped(&[1, 2, 3], |_, _| {});
+    fn restore_rejects_corrupt_payloads_and_leaves_the_store_unchanged() {
+        let source = store(0);
+        source.touch(&[1, 2, 3], |_, _| {});
         let mut w = PayloadWriter::new();
         source.save_payload(&mut w);
         let bytes = w.into_bytes();
 
-        let wrong_shards = store(4, 0);
-        let mut r = PayloadReader::new(&bytes);
-        assert!(matches!(
-            wrong_shards.restore_payload(&mut r, 1),
-            Err(CodecError::Invalid(_))
-        ));
-
-        // A truncated payload fails with a typed error and leaves the
-        // target store untouched.
-        let target = store(2, 0);
-        target.touch_grouped(&[77], |_, _| {});
+        // A truncated payload fails with a typed error, and a payload with
+        // trailing bytes is refused; neither touches the target store.
+        let target = store(0);
+        target.touch(&[77], |_, _| {});
         let mut r = PayloadReader::new(&bytes[..bytes.len() - 5]);
         assert!(matches!(
             target.restore_payload(&mut r, 1),
             Err(CodecError::Truncated { .. })
         ));
+        let mut padded = bytes.clone();
+        padded.push(0);
+        let mut r = PayloadReader::new(&padded);
+        assert!(matches!(
+            target.restore_payload(&mut r, 1),
+            Err(CodecError::Invalid(_))
+        ));
         assert!(target.contains(77), "failed restore must not clobber state");
+        assert_eq!(target.len(), 1);
     }
 
     #[test]
     fn unbounded_store_never_evicts() {
-        let store = store(4, 0);
+        let store = store(0);
         let ids: Vec<u64> = (0..100).collect();
-        store.touch_grouped(&ids, |_, _| {});
+        store.touch(&ids, |_, _| {});
         assert_eq!(store.len(), 100);
         assert_eq!(store.stats().evicted, 0);
-        assert!(store.remove(42));
-        assert!(!store.remove(42));
-        assert_eq!(store.len(), 99);
     }
 }

@@ -22,7 +22,7 @@ use vtm_serve::{PricingService, QuoteRequest, ServiceConfig};
 
 const HISTORY: usize = 4;
 const FEATURES: usize = 3;
-/// Twice what the store holds (4 shards x 3 sessions), so sessions evict.
+/// Twice what the store holds (12 sessions), so sessions evict.
 const SESSIONS: u64 = 24;
 
 fn service() -> PricingService {
@@ -38,9 +38,7 @@ fn service() -> PricingService {
         normalizer.update(&obs);
     }
     agent.set_obs_normalizer(Some(normalizer));
-    let config = ServiceConfig::new(HISTORY, FEATURES)
-        .with_shards(4)
-        .with_session_capacity(3);
+    let config = ServiceConfig::new(HISTORY, FEATURES).with_session_capacity(12);
     PricingService::from_snapshot(&agent.snapshot(), config).unwrap()
 }
 
@@ -71,5 +69,5 @@ fn greedy_f64_quotes_and_state_digest_are_pinned() {
     assert!(service.stats().evicted > 0, "the store never evicted");
     let bytes: Vec<u8> = prices.iter().flat_map(|p| p.to_le_bytes()).collect();
     assert_eq!(fnv1a(&bytes), 0x59d9_275d_f7ee_005e);
-    assert_eq!(service.state_digest(), 0x6da2_5143_1196_e7d2);
+    assert_eq!(service.state_digest(), 0xe753_02f4_3250_4044);
 }
