@@ -256,12 +256,16 @@ impl Matrix {
 
     /// Matrix transpose written into a caller-owned buffer, resized in place.
     /// A copy, not arithmetic: the backward pass packs `Wᵀ` with it so that
-    /// `dZ · Wᵀ` runs the same kernel as every other product.
+    /// `dZ · Wᵀ` runs the same kernel as every other product. The output is
+    /// written in order and the input read strided.
     pub fn transpose_into(&self, out: &mut Self) {
         out.resize(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        // An empty output has no column to visit; `max(1)` only keeps the
+        // chunk size valid.
+        let columns = out.data.chunks_exact_mut(self.rows.max(1));
+        for (c, column) in columns.enumerate() {
+            for (o, row) in column.iter_mut().zip(self.data.chunks_exact(self.cols)) {
+                *o = row[c];
             }
         }
     }
@@ -962,6 +966,9 @@ mod tests {
             let expected = a.matmul(&b.transpose()).unwrap();
             b.transpose_into(&mut bt);
             assert_eq!(bt.shape(), (b.cols(), b.rows()), "{case}");
+            let mut cells = (0..b.rows()).flat_map(|i| (0..b.cols()).map(move |j| (i, j)));
+            let moved = |(i, j)| bt[(j, i)].to_bits() == b[(i, j)].to_bits();
+            assert!(cells.all(moved), "{case}");
             a.matmul_into(&bt, &mut out).unwrap();
             assert_same_bits(&out, &expected, &case);
         }

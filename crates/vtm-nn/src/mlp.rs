@@ -114,6 +114,10 @@ impl MlpConfig {
     }
 }
 
+/// Lanes of [`MlpGrads::global_norm`]'s sum of squares. A constant, not the
+/// ISA's vector width, so every build sums in the same order.
+const NORM_LANES: usize = 8;
+
 /// Gradients for every layer of an [`Mlp`], ordered from input layer to output layer.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MlpGrads {
@@ -167,13 +171,26 @@ impl MlpGrads {
         }
     }
 
-    /// Global L2 norm across all layers.
+    /// Global L2 norm across all layers, in one pass: layer by layer,
+    /// weights then bias, element `i` of each tensor adds its square to lane
+    /// `i % NORM_LANES`; the lanes are summed from the first, then one square
+    /// root. Each lane is one sequential sum, so the lanes may run in
+    /// vector registers of any width with the same bits.
     pub fn global_norm(&self) -> f64 {
-        self.layers
-            .iter()
-            .map(|g| g.norm().powi(2))
-            .sum::<f64>()
-            .sqrt()
+        let mut lanes = [0.0; NORM_LANES];
+        let mut add = |values: &[f64]| {
+            for (lane, &x) in lanes.iter_mut().zip(values) {
+                *lane += x * x;
+            }
+        };
+        for g in &self.layers {
+            for tensor in [&g.weights, &g.bias] {
+                let (groups, tail) = tensor.as_slice().as_chunks::<NORM_LANES>();
+                groups.iter().for_each(|group| add(group));
+                add(tail);
+            }
+        }
+        lanes.iter().sum::<f64>().sqrt()
     }
 
     /// Clips the global norm to `max_norm`, returning the pre-clip norm.
@@ -788,6 +805,48 @@ mod tests {
         let returned = g.clip_global_norm(1.0);
         assert!((returned - norm_before).abs() < 1e-12);
         assert!((g.global_norm() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn global_norm_is_within_4_ulp_of_a_compensated_sum() {
+        // Against Neumaier's compensated sum of the same squares, over
+        // 12-64-64-1 gradients (the PPO networks' shape) whose six tensors
+        // each take their own scale. While those scales lie within 10⁶ of
+        // each other, the lane sum stays within 4 ulp. Further apart, the
+        // squares of a small tensor that follows a large one round away
+        // one by one, all in the same direction (docs/NUMERICS.md).
+        let n = MlpConfig::new(12, &[64, 64], 1).build(&mut StdRng::seed_from_u64(0));
+        let mut rng = StdRng::seed_from_u64(0x6e6f_726d);
+        for (decades, bound) in [(6.0, 4), (10.0, 42)] {
+            let mut worst = 0;
+            for _ in 0..1000 {
+                let mut g = MlpGrads::zeros_like(&n);
+                let base = 10f64.powf(rng.gen_range(-4.0..0.0));
+                for layer in &mut g.layers {
+                    for tensor in [&mut layer.weights, &mut layer.bias] {
+                        let scale = base * 10f64.powf(decades * rng.gen_range(-0.5..0.5));
+                        for x in tensor.as_mut_slice() {
+                            *x = scale * rng.gen_range(-1.0..1.0);
+                        }
+                    }
+                }
+                let (mut sum, mut carry) = (0.0_f64, 0.0);
+                for layer in &g.layers {
+                    for &x in layer.weights.as_slice().iter().chain(layer.bias.as_slice()) {
+                        let (square, next) = (x * x, sum + x * x);
+                        carry += if sum >= square {
+                            (sum - next) + square
+                        } else {
+                            (square - next) + sum
+                        };
+                        sum = next;
+                    }
+                }
+                let reference = (sum + carry).sqrt();
+                worst = worst.max(g.global_norm().to_bits().abs_diff(reference.to_bits()));
+            }
+            assert!(worst <= bound, "scales 10^{decades} apart: {worst} ulp");
+        }
     }
 
     #[test]

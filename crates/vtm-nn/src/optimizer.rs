@@ -82,8 +82,13 @@ impl Adam {
     pub fn step(&mut self, net: &mut Mlp, grads: &MlpGrads) {
         self.ensure_state(net);
         self.step = self.step.saturating_add(1);
-        let bias1 = bias_correction(self.beta1, self.step);
-        let bias2 = bias_correction(self.beta2, self.step);
+        let (step_size, eps_hat) = folded_step(
+            self.learning_rate,
+            self.beta1,
+            self.beta2,
+            self.epsilon,
+            self.step,
+        );
         for (idx, layer) in net.layers_mut().iter_mut().enumerate() {
             let g = &grads.layers[idx];
             assert_eq!(
@@ -93,30 +98,20 @@ impl Adam {
             );
             let (mw, mb) = &mut self.first_moment[idx];
             let (vw, vb) = &mut self.second_moment[idx];
-            Self::update_matrix(
-                layer.weights_mut(),
-                &g.weights,
-                mw,
-                vw,
-                self.learning_rate,
-                self.beta1,
-                self.beta2,
-                self.epsilon,
-                bias1,
-                bias2,
-            );
-            Self::update_matrix(
-                layer.bias_mut(),
-                &g.bias,
-                mb,
-                vb,
-                self.learning_rate,
-                self.beta1,
-                self.beta2,
-                self.epsilon,
-                bias1,
-                bias2,
-            );
+            let update = |param: &mut Matrix, grad: &Matrix, m: &mut Matrix, v: &mut Matrix| {
+                adam_step_slice(
+                    param.as_mut_slice(),
+                    grad.as_slice(),
+                    m.as_mut_slice(),
+                    v.as_mut_slice(),
+                    self.beta1,
+                    self.beta2,
+                    step_size,
+                    eps_hat,
+                );
+            };
+            update(layer.weights_mut(), &g.weights, mw, vw);
+            update(layer.bias_mut(), &g.bias, mb, vb);
         }
     }
 
@@ -216,33 +211,6 @@ impl Adam {
         }
         Ok(adam)
     }
-
-    #[allow(clippy::too_many_arguments)] // private kernel; all scalars are Adam state
-    fn update_matrix(
-        param: &mut Matrix,
-        grad: &Matrix,
-        m: &mut Matrix,
-        v: &mut Matrix,
-        lr: f64,
-        beta1: f64,
-        beta2: f64,
-        eps: f64,
-        bias1: f64,
-        bias2: f64,
-    ) {
-        adam_step_slice(
-            param.as_mut_slice(),
-            grad.as_slice(),
-            m.as_mut_slice(),
-            v.as_mut_slice(),
-            lr,
-            beta1,
-            beta2,
-            eps,
-            bias1,
-            bias2,
-        );
-    }
 }
 
 /// Adam's bias correction `1 − β^t` at step `t`.
@@ -255,9 +223,21 @@ fn bias_correction(beta: f64, step: u64) -> f64 {
     1.0 - beta.powi(i32::try_from(step).unwrap_or(i32::MAX))
 }
 
+/// Kingma & Ba's folded step at step `t` (Adam, §2): the step size
+/// `α·√(1−β₂ᵗ)/(1−β₁ᵗ)` and `ε̂ = ε·√(1−β₂ᵗ)`. With them,
+/// `α·m̂/(√v̂ + ε)` becomes `step_size·m/(√v + ε̂)`, the same value in real
+/// arithmetic with one division per parameter instead of three. ε is
+/// scaled too: a constant ε̂ would change the update itself at small `t`.
+fn folded_step(lr: f64, beta1: f64, beta2: f64, eps: f64, step: u64) -> (f64, f64) {
+    let root2 = bias_correction(beta2, step).sqrt();
+    (lr * root2 / bias_correction(beta1, step), eps * root2)
+}
+
 /// The element-wise Adam update on raw slices, shared by [`Adam`] (matrix
 /// parameters) and [`VectorAdam`] (plain `Vec<f64>` parameters such as a
 /// policy's log-std) so the two stay numerically identical by construction.
+/// `step_size` and `eps_hat` are the step's folded scalars (see
+/// `folded_step`): per parameter, one division and one square root.
 ///
 /// # Panics
 ///
@@ -268,53 +248,22 @@ pub fn adam_step_slice(
     grads: &[f64],
     m: &mut [f64],
     v: &mut [f64],
-    lr: f64,
     beta1: f64,
     beta2: f64,
-    eps: f64,
-    bias1: f64,
-    bias2: f64,
+    step_size: f64,
+    eps_hat: f64,
 ) {
     assert!(
         params.len() == grads.len() && params.len() == m.len() && params.len() == v.len(),
         "adam slice length mismatch"
     );
-    // `1 − β₁ᵗ` rounds to exactly 1.0 from step 356 at β₁ = 0.9, and
-    // `x / 1.0` is `x` bit for bit for every `x` arithmetic produces, so the
-    // loop without that division gives the same bits. (`bias2` reaches 1.0
-    // only at step 37,412 for β₂ = 0.999; it keeps its division.)
-    if bias1 == 1.0 {
-        adam_loop(params, grads, m, v, lr, beta1, beta2, eps, bias2, |mi| mi);
-    } else {
-        adam_loop(params, grads, m, v, lr, beta1, beta2, eps, bias2, |mi| {
-            mi / bias1
-        });
-    }
-}
-
-/// The loop of [`adam_step_slice`], with `m_hat` the first moment's bias
-/// correction.
-#[allow(clippy::too_many_arguments)] // all scalars are Adam state
-fn adam_loop(
-    params: &mut [f64],
-    grads: &[f64],
-    m: &mut [f64],
-    v: &mut [f64],
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    bias2: f64,
-    m_hat: impl Fn(f64) -> f64,
-) {
     let moments = m.iter_mut().zip(v.iter_mut());
     for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
         let mi = beta1 * *m + (1.0 - beta1) * g;
         let vi = beta2 * *v + (1.0 - beta2) * g * g;
         *m = mi;
         *v = vi;
-        let v_hat = vi / bias2;
-        *p -= lr * m_hat(mi) / (v_hat.sqrt() + eps);
+        *p -= step_size * mi / (vi.sqrt() + eps_hat);
     }
 }
 
@@ -364,19 +313,22 @@ impl VectorAdam {
     /// Panics if the slice lengths do not match the optimizer's dimension.
     pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         self.step = self.step.saturating_add(1);
-        let bias1 = bias_correction(self.beta1, self.step);
-        let bias2 = bias_correction(self.beta2, self.step);
+        let (step_size, eps_hat) = folded_step(
+            self.learning_rate,
+            self.beta1,
+            self.beta2,
+            self.epsilon,
+            self.step,
+        );
         adam_step_slice(
             params,
             grads,
             &mut self.m,
             &mut self.v,
-            self.learning_rate,
             self.beta1,
             self.beta2,
-            self.epsilon,
-            bias1,
-            bias2,
+            step_size,
+            eps_hat,
         );
     }
 
@@ -462,7 +414,7 @@ mod tests {
     use crate::activation::Activation;
     use crate::mlp::MlpConfig;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Trains `net` to fit y = f(x) on a fixed batch and returns the final MSE.
     fn train_regression(opt: &mut Adam, steps: usize, seed: u64) -> f64 {
@@ -660,6 +612,46 @@ mod tests {
         }
         assert!(vector_steps.iter().all(|p| *p == vector_steps[0]));
         assert!(matrix_steps.iter().all(|p| *p == matrix_steps[0]));
+    }
+
+    #[test]
+    fn folded_step_is_within_5_ulp_of_the_textbook_form() {
+        // Kingma & Ba's Algorithm 1 divides twice more per parameter:
+        // `m̂ = m/(1−β₁ᵗ)`, `v̂ = v/(1−β₂ᵗ)`, step `α·m̂/(√v̂ + ε)`. Both
+        // forms share the moments, so they differ by rounding alone. Steps
+        // 355–357 straddle `1 − β₁ᵗ` reaching 1.0, 37,411–37,412
+        // `1 − β₂ᵗ`; magnitudes span 8 decades of `g` and `m`, 16 of `v`.
+        const SAMPLES: usize = 32_768;
+        let (lr, beta1, beta2, eps) = (3e-4, 0.9_f64, 0.999_f64, 1e-8);
+        let mut rng = StdRng::seed_from_u64(0xada4);
+        let mut draw = |decades: f64, signed: bool| {
+            let x = 10f64.powf(rng.gen_range(-decades..0.0));
+            if signed && rng.gen::<bool>() {
+                -x
+            } else {
+                x
+            }
+        };
+        let mut worst = 0;
+        for t in [1, 2, 355, 356, 357, 10_000, 37_411, 37_412] {
+            let mut opt = VectorAdam::new(lr, SAMPLES);
+            opt.step = t - 1;
+            let mut grads = vec![0.0; SAMPLES];
+            for ((g, m), v) in grads.iter_mut().zip(&mut opt.m).zip(&mut opt.v) {
+                (*g, *m, *v) = (draw(8.0, true), draw(8.0, true), draw(16.0, false));
+            }
+            let mut params = vec![0.0; SAMPLES];
+            opt.step(&mut params, &grads);
+            let bias1 = 1.0 - beta1.powi(t as i32);
+            let bias2 = 1.0 - beta2.powi(t as i32);
+            for ((p, &m), &v) in params.iter().zip(&opt.m).zip(&opt.v) {
+                let textbook = lr * (m / bias1) / ((v / bias2).sqrt() + eps);
+                // `0 − step` is exact, so `−p` is the folded step.
+                let ulps = (-p).to_bits().abs_diff(textbook.to_bits());
+                worst = worst.max(ulps);
+            }
+        }
+        assert!(worst <= 5, "{worst} ulp");
     }
 
     #[test]

@@ -50,6 +50,15 @@ pub enum ServeError {
     /// A serialized service-state payload (journal snapshot) is corrupt,
     /// truncated or structurally incompatible with this service.
     State(CodecError),
+    /// The session store's logical clock cannot count a batch: its visits
+    /// would carry the clock past `u64::MAX`. Only a restored clock comes
+    /// that close; the batch is refused before any session moves.
+    ClockExhausted {
+        /// The clock when the batch arrived.
+        clock: u64,
+        /// Visits the batch asked for.
+        visits: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -77,6 +86,10 @@ impl fmt::Display for ServeError {
             }
             ServeError::Forward(err) => write!(f, "batched forward failed: {err}"),
             ServeError::State(err) => write!(f, "state payload error: {err}"),
+            ServeError::ClockExhausted { clock, visits } => write!(
+                f,
+                "the session clock at {clock} cannot count {visits} more visits"
+            ),
         }
     }
 }
@@ -566,7 +579,9 @@ impl PricingService {
     /// # Errors
     ///
     /// Returns a typed [`ServeError`] for malformed feature blocks
-    /// ([`PricingService::check_request`]).
+    /// ([`PricingService::check_request`]) and
+    /// [`ServeError::ClockExhausted`] for a batch the session clock cannot
+    /// count.
     pub fn advance_sessions(
         &self,
         requests: &[&QuoteRequest],
@@ -590,7 +605,7 @@ impl PricingService {
             let row = &mut rows[idx];
             row.warmed = session.warmed(history);
             row.observation = self.normalized(session.observation(history, features));
-        });
+        })?;
         self.quotes_served
             .fetch_add(requests.len() as u64, Ordering::Relaxed);
         Ok(rows)
@@ -672,9 +687,10 @@ impl PricingService {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ServeError`] for malformed feature blocks
-    /// ([`PricingService::check_request`]); an empty batch yields an empty
-    /// quote list.
+    /// Returns a typed [`ServeError`] for a batch
+    /// [`PricingService::advance_sessions`] refuses (a malformed feature
+    /// block, or more visits than the session clock can count); an empty
+    /// batch yields an empty quote list.
     pub fn quote_batch(&self, requests: &[QuoteRequest]) -> Result<Vec<Quote>, ServeError> {
         let refs: Vec<&QuoteRequest> = requests.iter().collect();
         self.quote_refs(&refs)
@@ -688,9 +704,10 @@ impl PricingService {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ServeError`] for malformed feature blocks
-    /// ([`PricingService::check_request`]); an empty batch yields an empty
-    /// quote list.
+    /// Returns a typed [`ServeError`] for a batch
+    /// [`PricingService::advance_sessions`] refuses (a malformed feature
+    /// block, or more visits than the session clock can count); an empty
+    /// batch yields an empty quote list.
     pub fn quote_refs(&self, requests: &[&QuoteRequest]) -> Result<Vec<Quote>, ServeError> {
         if requests.is_empty() {
             return Ok(Vec::new());
@@ -704,8 +721,8 @@ impl PricingService {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ServeError`] for malformed feature blocks
-    /// ([`PricingService::check_request`]).
+    /// Returns a typed [`ServeError`] for a request
+    /// [`PricingService::advance_sessions`] refuses.
     pub fn quote_one(&self, request: &QuoteRequest) -> Result<Quote, ServeError> {
         let mut quotes = self.quote_refs(&[request])?;
         Ok(quotes.pop().expect("one request yields one quote"))
@@ -1093,6 +1110,34 @@ mod tests {
             assert_eq!(service.stats().sessions, 2);
             let quote = service.quote_one(&QuoteRequest::new(a, vec![0.5, 0.25]));
             assert!(quote.unwrap().warmed);
+        }
+    }
+
+    /// A restored clock one tick short of `u64::MAX` counts one more
+    /// visit; the next batch is refused with a typed error before any
+    /// session moves, in debug and in release alike.
+    #[test]
+    fn a_batch_past_the_last_clock_tick_is_refused() {
+        let config = ServiceConfig::new(4, 2).with_session_capacity(8);
+        let service = PricingService::from_snapshot(&snapshot(8, 19), config).unwrap();
+        service
+            .restore_state(&state_payload(u64::MAX - 1, 0, &[]))
+            .unwrap();
+        service.quote_one(&requests(0, 1, 2)[0]).unwrap();
+        let digest = service.state_digest();
+        for round in 1..3 {
+            let refused = service.quote_batch(&requests(round, 3, 2));
+            assert!(
+                matches!(
+                    refused,
+                    Err(ServeError::ClockExhausted {
+                        clock: u64::MAX,
+                        visits: 3
+                    })
+                ),
+                "{refused:?}"
+            );
+            assert_eq!(service.state_digest(), digest);
         }
     }
 

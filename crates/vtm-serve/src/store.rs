@@ -21,6 +21,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use vtm_nn::codec::{CodecError, PayloadReader, PayloadWriter};
 
+use crate::service::ServeError;
 use crate::session::Session;
 
 /// Aggregate counters of a [`SessionStore`].
@@ -44,7 +45,8 @@ struct Entry {
 struct State {
     sessions: HashMap<u64, Entry>,
     /// `(last_touched, id)` of every live session, least recent first: the
-    /// first element is the eviction victim.
+    /// first element is the eviction victim. Only a bounded store evicts,
+    /// so an unbounded one leaves it empty.
     recency: BTreeSet<(u64, u64)>,
     /// The logical clock: one tick per visit (see the module docs).
     tick: u64,
@@ -174,7 +176,9 @@ impl SessionStore {
                 )));
             }
             let session = Session::load_payload(r, self.history_length, features)?;
-            state.recency.insert((last_touched, id));
+            if self.capacity > 0 {
+                state.recency.insert((last_touched, id));
+            }
             state.sessions.insert(
                 id,
                 Entry {
@@ -202,20 +206,39 @@ impl SessionStore {
     /// evicts its least-recently-touched session; the choice uses only
     /// request ticks, so it is invariant to how the request stream is
     /// sliced into batches.
-    pub fn touch(&self, ids: &[u64], mut f: impl FnMut(usize, &mut Session)) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::ClockExhausted`], before any session moves,
+    /// when the batch's visits would carry the clock past `u64::MAX` (only
+    /// a restored clock can come that close).
+    pub fn touch(
+        &self,
+        ids: &[u64],
+        mut f: impl FnMut(usize, &mut Session),
+    ) -> Result<(), ServeError> {
         let mut guard = self.lock();
         let state = &mut *guard;
+        if state.tick.checked_add(ids.len() as u64).is_none() {
+            return Err(ServeError::ClockExhausted {
+                clock: state.tick,
+                visits: ids.len(),
+            });
+        }
+        let bounded = self.capacity > 0;
         for (idx, &id) in ids.iter().enumerate() {
             let now = state.tick;
             state.tick += 1;
             let entry = match state.sessions.get_mut(&id) {
                 Some(entry) => {
-                    state.recency.remove(&(entry.last_touched, id));
+                    if bounded {
+                        state.recency.remove(&(entry.last_touched, id));
+                    }
                     entry.last_touched = now;
                     entry
                 }
                 None => {
-                    if self.capacity > 0 && state.sessions.len() >= self.capacity {
+                    if bounded && state.sessions.len() >= self.capacity {
                         if let Some((_, victim)) = state.recency.pop_first() {
                             state.sessions.remove(&victim);
                             state.evicted += 1;
@@ -227,9 +250,12 @@ impl SessionStore {
                     })
                 }
             };
-            state.recency.insert((now, id));
+            if bounded {
+                state.recency.insert((now, id));
+            }
             f(idx, &mut entry.session);
         }
+        Ok(())
     }
 }
 
@@ -244,9 +270,9 @@ mod tests {
     #[test]
     fn capacity_evicts_the_lru_session() {
         let store = store(2);
-        store.touch(&[1, 2], |_, _| {});
-        store.touch(&[1], |_, _| {}); // 2 becomes the LRU
-        store.touch(&[3], |_, _| {});
+        store.touch(&[1, 2], |_, _| {}).unwrap();
+        store.touch(&[1], |_, _| {}).unwrap(); // 2 becomes the LRU
+        store.touch(&[3], |_, _| {}).unwrap();
         assert!(store.contains(1) && store.contains(3));
         assert!(!store.contains(2));
         assert_eq!(store.stats().evicted, 1);
@@ -264,9 +290,13 @@ mod tests {
         let batched = store(2);
         let sequence: Vec<u64> = vec![0, 9, 17, 3, 9, 0, 25, 3, 17, 9, 0, 33, 9, 41, 0];
         for (i, &id) in sequence.iter().enumerate() {
-            singles.touch(&[id], |_, s| s.push(vec![i as f64], 2));
+            singles
+                .touch(&[id], |_, s| s.push(vec![i as f64], 2))
+                .unwrap();
         }
-        batched.touch(&sequence, |i, s| s.push(vec![i as f64], 2));
+        batched
+            .touch(&sequence, |i, s| s.push(vec![i as f64], 2))
+            .unwrap();
         assert!(batched.stats().evicted > 0, "the sequence never evicted");
         // Probe every id once and compare the observable session state.
         let mut probe: Vec<u64> = sequence.clone();
@@ -274,9 +304,11 @@ mod tests {
         probe.dedup();
         let windows = |store: &SessionStore| {
             let mut seen = Vec::new();
-            store.touch(&probe, |idx, s| {
-                seen.push((probe[idx], s.warmed(2), s.observation(2, 1)));
-            });
+            store
+                .touch(&probe, |idx, s| {
+                    seen.push((probe[idx], s.warmed(2), s.observation(2, 1)));
+                })
+                .unwrap();
             seen
         };
         assert_eq!(windows(&singles), windows(&batched));
@@ -286,10 +318,12 @@ mod tests {
     fn grouped_visits_preserve_input_order_per_session() {
         let store = store(0);
         let mut seen = Vec::new();
-        store.touch(&[5, 5, 5], |idx, session| {
-            session.push(vec![idx as f64], 2);
-            seen.push(session.observation(2, 1));
-        });
+        store
+            .touch(&[5, 5, 5], |idx, session| {
+                session.push(vec![idx as f64], 2);
+                seen.push(session.observation(2, 1));
+            })
+            .unwrap();
         assert_eq!(seen, [[0.0, 0.0], [0.0, 1.0], [1.0, 2.0]]);
     }
 
@@ -298,9 +332,11 @@ mod tests {
         let source = store(4);
         let sequence: Vec<u64> = vec![0, 9, 17, 3, 9, 0, 25, 3, 17, 9, 0, 33, 9, 41, 0];
         for &id in &sequence {
-            source.touch(&[id], |_, s| {
-                s.push(vec![id as f64, 0.5], 2);
-            });
+            source
+                .touch(&[id], |_, s| {
+                    s.push(vec![id as f64, 0.5], 2);
+                })
+                .unwrap();
         }
         let mut w = PayloadWriter::new();
         source.save_payload(&mut w);
@@ -322,10 +358,12 @@ mod tests {
         let probe: Vec<u64> = vec![49, 9, 0, 57, 17];
         let visit = |store: &SessionStore| {
             let mut seen = Vec::new();
-            store.touch(&probe, |idx, s| {
-                s.push(vec![idx as f64, 1.0], 2);
-                seen.push((probe[idx], s.observation(2, 2), s.warmed(2)));
-            });
+            store
+                .touch(&probe, |idx, s| {
+                    s.push(vec![idx as f64, 1.0], 2);
+                    seen.push((probe[idx], s.observation(2, 2), s.warmed(2)));
+                })
+                .unwrap();
             seen
         };
         assert_eq!(visit(&source), visit(&restored));
@@ -335,7 +373,7 @@ mod tests {
     #[test]
     fn restore_rejects_corrupt_payloads_and_leaves_the_store_unchanged() {
         let source = store(0);
-        source.touch(&[1, 2, 3], |_, _| {});
+        source.touch(&[1, 2, 3], |_, _| {}).unwrap();
         let mut w = PayloadWriter::new();
         source.save_payload(&mut w);
         let bytes = w.into_bytes();
@@ -343,7 +381,7 @@ mod tests {
         // A truncated payload fails with a typed error, and a payload with
         // trailing bytes is refused; neither touches the target store.
         let target = store(0);
-        target.touch(&[77], |_, _| {});
+        target.touch(&[77], |_, _| {}).unwrap();
         let mut r = PayloadReader::new(&bytes[..bytes.len() - 5]);
         assert!(matches!(
             target.restore_payload(&mut r, 1),
@@ -364,8 +402,55 @@ mod tests {
     fn unbounded_store_never_evicts() {
         let store = store(0);
         let ids: Vec<u64> = (0..100).collect();
-        store.touch(&ids, |_, _| {});
+        store.touch(&ids, |_, _| {}).unwrap();
         assert_eq!(store.len(), 100);
         assert_eq!(store.stats().evicted, 0);
+    }
+
+    #[test]
+    fn only_a_bounded_store_keeps_a_recency_index() {
+        // Only eviction reads the index: an unbounded store keeps none, live
+        // or restored, and still stamps every entry.
+        let ids: Vec<u64> = (0..40).chain(0..10).collect();
+        for (capacity, live, indexed) in [(0, 40, 0), (16, 16, 16)] {
+            let source = store(capacity);
+            source.touch(&ids, |_, _| {}).unwrap();
+            let mut w = PayloadWriter::new();
+            source.save_payload(&mut w);
+            let restored = store(capacity);
+            let mut r = PayloadReader::new(w.as_bytes());
+            restored.restore_payload(&mut r, 0).unwrap();
+            for s in [&source, &restored] {
+                let state = s.lock();
+                assert_eq!(state.sessions.len(), live, "capacity {capacity}");
+                assert_eq!(state.recency.len(), indexed, "capacity {capacity}");
+                let stamps = state.sessions.values().map(|e| e.last_touched);
+                assert_eq!(stamps.max(), Some(49), "capacity {capacity}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_the_clock_cannot_count_moves_nothing() {
+        let store = store(2);
+        let mut w = PayloadWriter::new();
+        w.write_u64(u64::MAX - 2);
+        w.write_usize(0);
+        w.write_u64(0);
+        let mut r = PayloadReader::new(w.as_bytes());
+        store.restore_payload(&mut r, 1).unwrap();
+        store.touch(&[7, 8], |_, _| {}).unwrap();
+        let mut visited = false;
+        let refused = store.touch(&[9], |_, _| visited = true);
+        assert!(matches!(
+            refused,
+            Err(ServeError::ClockExhausted {
+                clock: u64::MAX,
+                visits: 1
+            })
+        ));
+        assert!(!visited && !store.contains(9) && store.len() == 2);
+        // The lock is not poisoned: an empty batch still passes.
+        store.touch(&[], |_, _| {}).unwrap();
     }
 }

@@ -46,8 +46,8 @@ fn property_loop_capacity_lru_and_replay() {
 
         // A session touched exactly once and never again: capacity
         // pressure must reclaim it by the end of the run.
-        store.touch(&[COLD_ID], |_, _| {});
-        twin.touch(&[COLD_ID], |_, _| {});
+        store.touch(&[COLD_ID], |_, _| {}).unwrap();
+        twin.touch(&[COLD_ID], |_, _| {}).unwrap();
         // The reference LRU list, least recently touched first.
         let mut model = vec![COLD_ID];
 
@@ -56,7 +56,8 @@ fn property_loop_capacity_lru_and_replay() {
             for s in [&store, &twin] {
                 s.touch(&ids, |_, session| {
                     session.push(vec![step as f64; 1], HISTORY);
-                });
+                })
+                .unwrap();
             }
             for &id in &ids {
                 model.retain(|&m| m != id);
@@ -101,7 +102,7 @@ fn unbounded_config_is_the_identity_policy() {
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..100 {
         let ids = random_batch(&mut rng);
-        store.touch(&ids, |_, _| {});
+        store.touch(&ids, |_, _| {}).unwrap();
     }
     let stats = store.stats();
     assert_eq!(stats.evicted, 0);
